@@ -37,7 +37,7 @@ from .pipeline import (
     normalize_category,
     run_pipeline,
 )
-from .solve import SolveStats, SolveTimeout, StableModel, enumerate_models
+from .solve import SolveResult, SolveStats, SolveTimeout, StableModel, enumerate_models
 
 
 class SchemaError(Exception):
@@ -326,65 +326,47 @@ def evaluate_case(
     options = options or PipelineOptions()
     options = replace(options, use_given_constants=case.given_constants is not None)
     trace = run_pipeline(case.story, case.given_constants, options, backend)
+    outcome, result, detail = _classify(case, trace, budget, limit)
+    return CaseResult(
+        case.id, case.split, outcome, trace,
+        models_found=len(result.models) if result else 0,
+        exhausted=result.exhausted if result else None,
+        stats=result.stats if result else None,
+        detail=detail,
+    )
 
+
+def _classify(
+    case: PuzzleCase, trace: PipelineTrace, budget: float, limit: int
+) -> tuple[CaseOutcome, SolveResult | None, str]:
+    """The case's outcome, its solver result if solving finished, and a detail line."""
+    stage = trace.outcome.stage
     if trace.outcome.kind == PipelineOutcome.BACKEND_FAILURE:
-        return CaseResult(
-            case.id, case.split, CaseOutcome(OutcomeKind.BACKEND_ERROR, trace.outcome.stage),
-            trace, detail=_last_error(trace),
-        )
+        return CaseOutcome(OutcomeKind.BACKEND_ERROR, stage), None, _last_error(trace)
     if trace.outcome.kind == PipelineOutcome.STAGE_PARSE_FAILURE:
-        stage = trace.outcome.stage
         kind = _PARSE_STAGE_KIND.get(stage, OutcomeKind.FORMAT_ERROR)
-        return CaseResult(
-            case.id, case.split, CaseOutcome(kind, stage), trace, detail=_last_error(trace)
-        )
-
-    def rule_stage(rule_index: int) -> Stage:
-        if rule_index < trace.generate_rule_count:
-            return Stage.GENERATE_RULES
-        return Stage.CONSTRAINT_RULES
+        return CaseOutcome(kind, stage), None, _last_error(trace)
 
     deadline = time.monotonic() + budget
     try:
         ground = ground_program(trace.assembled_program, deadline=deadline)
         result = enumerate_models(ground, limit=limit, deadline=deadline)
     except (GroundTimeout, SolveTimeout):
-        return CaseResult(
-            case.id, case.split, CaseOutcome(OutcomeKind.TIMEOUT), trace,
-            detail=f"budget {budget:g}s exceeded",
-        )
+        return CaseOutcome(OutcomeKind.TIMEOUT), None, f"budget {budget:g}s exceeded"
     except GroundingError as exc:
-        return CaseResult(
-            case.id, case.split,
-            CaseOutcome(OutcomeKind.SYNTAX_ERROR, rule_stage(exc.rule_index)),
-            trace, detail=str(exc),
-        )
+        generated = exc.rule_index < trace.generate_rule_count
+        stage = Stage.GENERATE_RULES if generated else Stage.CONSTRAINT_RULES
+        return CaseOutcome(OutcomeKind.SYNTAX_ERROR, stage), None, str(exc)
 
-    found = len(result.models)
-    if found == 0:
-        return CaseResult(
-            case.id, case.split, CaseOutcome(OutcomeKind.NO_MODEL), trace,
-            models_found=0, exhausted=result.exhausted, stats=result.stats,
-        )
-    if found > 1:
-        return CaseResult(
-            case.id, case.split, CaseOutcome(OutcomeKind.MULTIPLE_MODELS), trace,
-            models_found=found, exhausted=result.exhausted, stats=result.stats,
-        )
+    if not result.models:
+        return CaseOutcome(OutcomeKind.NO_MODEL), result, ""
+    if len(result.models) > 1:
+        return CaseOutcome(OutcomeKind.MULTIPLE_MODELS), result, ""
     try:
         correct = compare_solution(result.models[0], case.gold, trace.predicates or [])
     except MappingError as exc:
-        return CaseResult(
-            case.id, case.split,
-            CaseOutcome(OutcomeKind.FORMAT_ERROR, Stage.PREDICATE_GENERATION),
-            trace, models_found=1, exhausted=result.exhausted, stats=result.stats,
-            detail=str(exc),
-        )
-    kind = OutcomeKind.CORRECT if correct else OutcomeKind.WRONG_MODEL
-    return CaseResult(
-        case.id, case.split, CaseOutcome(kind), trace,
-        models_found=1, exhausted=result.exhausted, stats=result.stats,
-    )
+        return CaseOutcome(OutcomeKind.FORMAT_ERROR, Stage.PREDICATE_GENERATION), result, str(exc)
+    return CaseOutcome(OutcomeKind.CORRECT if correct else OutcomeKind.WRONG_MODEL), result, ""
 
 
 def _last_error(trace: PipelineTrace) -> str:

@@ -12,14 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bench import EmptyInputError, SchemaError, evaluate_case, load_dataset, report
-from .gateway import (
-    Cassette,
-    GatewayConfig,
-    LiveBackend,
-    RecordingBackend,
-    ReplayBackend,
-    ScriptedBackend,
-)
+from .gateway import GatewayConfig, build_backend
 from .ground import GroundingError, GroundTimeout, ground_program
 from .pipeline import PipelineOptions, run_pipeline
 from .syntax import AspSyntaxError, parse_program, render_program
@@ -90,29 +83,20 @@ def _pipeline_options(args) -> PipelineOptions:
     return options
 
 
-def _make_backend(args, scripted_responses=None):
-    if args.backend == "scripted":
-        if scripted_responses is None:
-            raise ValueError("scripted backend needs --script")
-        inner = ScriptedBackend(scripted_responses)
-    elif args.backend == "replay":
-        if not args.cassette:
-            raise ValueError("replay backend needs --cassette")
-        inner = ReplayBackend.from_path(args.cassette)
-    else:
-        config = GatewayConfig.from_file(args.config) if args.config else GatewayConfig.from_env()
-        inner = LiveBackend(config)
-    if args.record:
-        if not args.cassette:
-            raise ValueError("--record needs --cassette")
-        path = Path(args.cassette)
-        cassette = Cassette.load(path) if path.exists() else Cassette(path)
-        return RecordingBackend(inner, cassette)
-    return inner
+def _backend(args, scripted_responses=None):
+    live_config = args.backend == "live" and args.config
+    config = GatewayConfig.from_file(args.config) if live_config else None
+    return build_backend(
+        args.backend,
+        cassette_path=args.cassette,
+        record=args.record,
+        scripted_responses=scripted_responses,
+        config=config,
+    )
 
 
-def _load_script(path: str):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def _load_script(path: str | None):
+    return None if path is None else json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +120,13 @@ def _cmd_pipeline(args) -> int:
     if args.constants:
         raw = _load_script(args.constants)
         given = tuple((name, tuple(str(v) for v in values)) for name, values in raw.items())
-    responses = None
-    if args.backend == "scripted":
-        if not args.script:
-            raise ValueError("scripted backend needs --script")
-        responses = _load_script(args.script)
-        if not isinstance(responses, list):
-            raise ValueError("--script for the pipeline command must be a JSON array")
+    responses = _load_script(args.script)
+    if responses is not None and not isinstance(responses, list):
+        raise ValueError("--script for the pipeline command must be a JSON array")
     options = _pipeline_options(args)
     if given is not None:
         options.use_given_constants = True
-    backend = _make_backend(args, responses)
+    backend = _backend(args, responses)
     trace = run_pipeline(story, given, options, backend)
     if args.trace:
         Path(args.trace).write_text(
@@ -167,28 +147,29 @@ def _cmd_bench(args) -> int:
         if not cases:
             print(f"no cases in split {args.split!r}", file=sys.stderr)
             return 2
-    scripts = None
+    scripts = _load_script(args.script)
+    if scripts is not None and not isinstance(scripts, dict):
+        raise ValueError("--script for the bench command must be a JSON object of id -> responses")
     if args.backend == "scripted":
-        if not args.script:
-            raise ValueError("scripted backend needs --script")
-        scripts = _load_script(args.script)
-        if not isinstance(scripts, dict):
-            raise ValueError("--script for the bench command must be a JSON object of id -> responses")
-    shared_backend = _make_backend(args, []) if args.backend != "scripted" else None
+        if args.record:
+            # One shared cassette would desync the per-case scripted queues.
+            raise ValueError("bench cannot --record the scripted backend: each case has its own script")
+        backends = [
+            _backend(args, None if scripts is None else list(scripts.get(case.id, [])))
+            for case in cases
+        ]
+    else:
+        backends = [_backend(args)] * len(cases)
     options = _pipeline_options(args)
 
-    def run_one(case):
-        if scripts is not None:
-            backend = ScriptedBackend(list(scripts.get(case.id, [])))
-        else:
-            backend = shared_backend
+    def run_one(case, backend):
         return evaluate_case(case, backend, options, budget=args.budget)
 
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(run_one, cases))
+            results = list(pool.map(run_one, cases, backends))
     else:
-        results = [run_one(case) for case in cases]
+        results = list(map(run_one, cases, backends))
 
     rep = report(results)
     if args.trace_dir:

@@ -82,6 +82,10 @@ class QueueEmpty(Exception):
     """A scripted backend ran out of queued responses."""
 
 
+# What a backend may raise for a failed call; anything else is a bug.
+BACKEND_ERRORS = (TransportError, RateLimited, ReplayMiss, QueueEmpty)
+
+
 # ---------------------------------------------------------------------------
 # Cassette storage
 # ---------------------------------------------------------------------------
@@ -218,14 +222,13 @@ class ReplayBackend:
 class RecordingBackend:
     """Record-through wrapper: replay on a cassette hit, else ask `inner` and store.
 
-    The cassette is flushed to disk after every new entry so an interrupted
-    run keeps what it paid for.
+    A cassette with a path is flushed to disk after every new entry so an
+    interrupted run keeps what it paid for.
     """
 
-    def __init__(self, inner: Backend, cassette: Cassette, autosave: bool = True):
+    def __init__(self, inner: Backend, cassette: Cassette):
         self.inner = inner
         self.cassette = cassette
-        self.autosave = autosave and cassette.path is not None
 
     def complete(self, request: CompletionRequest) -> str:
         cached = self.cassette.lookup(fingerprint(request))
@@ -233,7 +236,7 @@ class RecordingBackend:
             return cached
         response = self.inner.complete(request)
         self.cassette.record(request, response)
-        if self.autosave:
+        if self.cassette.path is not None:
             self.cassette.save()
         return response
 
@@ -366,7 +369,11 @@ class LiveBackend:
                 except requests.RequestException as exc:
                     raise TransportError(f"request failed: {exc}") from exc
                 if response.status_code == 200:
-                    return self._extract_text(response.json())
+                    try:
+                        data = response.json()
+                    except ValueError as exc:
+                        raise TransportError(f"response body is not JSON: {exc}") from exc
+                    return self._extract_text(data)
                 if response.status_code == 429:
                     retry_after = self._retry_after(response)
                     last_rate = RateLimited(retry_after)
@@ -391,23 +398,25 @@ def build_backend(
     scripted_responses: list[str] | None = None,
     config: GatewayConfig | None = None,
 ) -> Backend:
-    """Assemble a backend for the CLI: live, replay, or scripted, optionally recording."""
-    if kind == "scripted":
-        inner: Backend = ScriptedBackend(scripted_responses or [])
-    elif kind == "replay":
+    """The one backend factory: live, replay, or scripted, optionally recording."""
+    if kind == "replay":
         if cassette_path is None:
-            raise ValueError("replay backend needs a cassette path")
-        if not record:
-            return ReplayBackend.from_path(cassette_path)
-        inner = ReplayBackend.from_path(cassette_path)
+            raise ValueError("replay backend needs --cassette")
+        if record:
+            # One --cassette path cannot be both the replay source and the record target.
+            raise ValueError("--record does not work with the replay backend")
+        return ReplayBackend.from_path(cassette_path)
+    if kind == "scripted":
+        if scripted_responses is None:
+            raise ValueError("scripted backend needs --script")
+        inner: Backend = ScriptedBackend(scripted_responses)
     elif kind == "live":
         inner = LiveBackend(config)
     else:
         raise ValueError(f"unknown backend kind {kind!r}")
-    if record:
-        if cassette_path is None:
-            raise ValueError("recording needs a cassette path")
-        path = Path(cassette_path)
-        cassette = Cassette.load(path) if path.exists() else Cassette(path)
-        return RecordingBackend(inner, cassette)
-    return inner
+    if not record:
+        return inner
+    if cassette_path is None:
+        raise ValueError("--record needs --cassette")
+    path = Path(cassette_path)
+    return RecordingBackend(inner, Cassette.load(path) if path.exists() else Cassette(path))

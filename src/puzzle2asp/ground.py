@@ -413,16 +413,12 @@ class _Grounder:
         else:
             extension = self.chosen[atom.predicate]
             is_chosen = True
-        before = len(binding)
-        names_before = set(binding)
         for row in self._match_atom(atom, extension, binding, rule_index):
             if is_chosen:
                 chosen_atoms.append(GAtom(atom.predicate, row))
             yield from self._instances(plan, step + 1, binding, chosen_atoms, rule_index)
             if is_chosen:
                 chosen_atoms.pop()
-        # _match_atom restores bindings itself; double-check in debug spirit.
-        assert len(binding) == before and set(binding) == names_before
 
     # -- choice rules
 

@@ -23,7 +23,7 @@ from enum import Enum
 from importlib import resources
 from typing import Sequence, Union
 
-from .gateway import Backend, CompletionRequest, fingerprint
+from .gateway import BACKEND_ERRORS, Backend, CompletionRequest, fingerprint
 from .ground import render_value
 from .syntax import AspSyntaxError, Program, parse_program, render_program
 
@@ -372,39 +372,6 @@ def build_prompt(
     return prompt
 
 
-def extract_query(prompt: str, stage: Stage) -> dict[str, str]:
-    """Recover the substituted inputs from a built prompt (the inverse of build_prompt)."""
-
-    def between(text: str, start: str, end: str) -> str:
-        i = text.rindex(start) + len(start)
-        j = text.rindex(end)
-        return text[i:j].strip("\n")
-
-    if stage is Stage.CONSTANT_EXTRACTION:
-        return {"story": between(prompt, "Problem 3:\n", "\n\nConstants:")}
-    if stage is Stage.CONSTANT_FORMATTING:
-        return {"constants": between(prompt, "Original constants:\n", "\n\nFormatted constants:")}
-    if stage is Stage.PREDICATE_GENERATION:
-        tail = prompt[prompt.rindex("Problem 3:\n") :]
-        return {
-            "story": between(tail, "Problem 3:\n", "\n\nConstants:"),
-            "constants": between(tail, "Constants:\n", "\n\nPredicates:"),
-        }
-    if stage is Stage.GENERATE_RULES:
-        return {
-            "constants": between(prompt, "Constants:\n", "\n\nPredicates:"),
-            "predicates": between(prompt, "Predicates:\n", "\n\nASP rules:"),
-        }
-    if stage is Stage.PARAPHRASE:
-        return {"sentences": between(prompt, "Given:\n", "\nCopy:")}
-    tail = prompt[prompt.rindex("Problem 3:\n") :]
-    return {
-        "story": between(tail, "Problem 3:\n", "\n\nConstants:"),
-        "constants": between(tail, "Constants:\n", "\n\nPredicates:"),
-        "predicates": between(tail, "Predicates:\n", "\n\nConstraints:"),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Response cleanup
 # ---------------------------------------------------------------------------
@@ -484,17 +451,17 @@ def apply_paraphrase(story: str, response: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Identical-prompt retries after a stage response fails to parse.
+_STAGE_RETRIES = 1
+
+
 @dataclass
 class PipelineOptions:
     enable_formatting: bool = True
     enable_paraphrase: bool = True
     use_given_constants: bool = False
     use_original_constraint_template: bool = False
-    max_stage_retries: int = 1
     model: str = "gpt-4"
-    temperature: float = 0.0
-    top_p: float = 1.0
-    max_tokens: int = 2048
 
 
 @dataclass
@@ -508,24 +475,14 @@ class StageRecord:
     artifact: object | None = None
 
 
+@dataclass(frozen=True)
 class PipelineOutcome:
     ASSEMBLED = "Assembled"
     STAGE_PARSE_FAILURE = "StageParseFailure"
     BACKEND_FAILURE = "BackendFailure"
 
-    def __init__(self, kind: str, stage: Stage | None = None):
-        self.kind = kind
-        self.stage = stage
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PipelineOutcome)
-            and self.kind == other.kind
-            and self.stage == other.stage
-        )
-
-    def __repr__(self):
-        return f"PipelineOutcome({self.kind}{', ' + self.stage.value if self.stage else ''})"
+    kind: str
+    stage: Stage | None = None
 
 
 @dataclass
@@ -538,7 +495,7 @@ class PipelineTrace:
     generate_program: Program | None = None
     constraint_program: Program | None = None
     assembled_program: Program | None = None
-    outcome: PipelineOutcome = field(default_factory=lambda: PipelineOutcome("Assembled"))
+    outcome: PipelineOutcome = PipelineOutcome(PipelineOutcome.ASSEMBLED)
 
     @property
     def generate_rule_count(self) -> int:
@@ -600,13 +557,7 @@ def run_pipeline(
 
     def call_stage(stage: Stage, prompt: str, parse):
         """One prompt/parse round with identical-prompt retries on parse failure."""
-        request = CompletionRequest(
-            prompt=prompt,
-            model=options.model,
-            temperature=options.temperature,
-            top_p=options.top_p,
-            max_tokens=options.max_tokens,
-        )
+        request = CompletionRequest(prompt=prompt, model=options.model)
         record = StageRecord(
             stage=stage,
             prompt=prompt,
@@ -617,11 +568,11 @@ def run_pipeline(
         )
         trace.records.append(record)
         first_parse_error: str | None = None
-        for attempt in range(options.max_stage_retries + 1):
+        for attempt in range(_STAGE_RETRIES + 1):
             record.attempts = attempt + 1
             try:
                 response = backend.complete(request)
-            except Exception as exc:
+            except BACKEND_ERRORS as exc:
                 if first_parse_error is not None:
                     # A retry after a bad parse drained the backend; the parse
                     # failure is the real story.

@@ -173,6 +173,21 @@ def test_pipeline_replay_requires_cassette(furniture_files, capsys):
     assert "replay backend needs --cassette" in capsys.readouterr().err
 
 
+def test_pipeline_replay_rejects_record(furniture_files, tmp_path, capsys):
+    story, _ = furniture_files
+    cassette = tmp_path / "cassette.json"
+    cassette.write_text('{"entries": []}\n')
+    code = main(
+        [
+            "pipeline", str(story),
+            "--backend", "replay", "--record", "--cassette", str(cassette),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: --record does not work with the replay backend" in err
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
@@ -247,6 +262,20 @@ def test_bench_workers_do_not_change_the_report(data_dir, tmp_path, capsys):
         reports.append(out_path.read_bytes())
     capsys.readouterr()
     assert reports[0] == reports[1]
+
+
+def test_bench_scripted_rejects_record(data_dir, tmp_path, capsys):
+    cassette = tmp_path / "cassette.json"
+    code = main(
+        [
+            "bench", str(data_dir / "mini.jsonl"),
+            "--backend", "scripted", "--script", str(data_dir / "mini_script.json"),
+            "--record", "--cassette", str(cassette),
+        ]
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not cassette.exists()
 
 
 def test_bench_schema_error_exits_2(tmp_path, capsys):

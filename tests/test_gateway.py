@@ -287,6 +287,16 @@ def test_malformed_body_wrapped(monkeypatch):
         backend.complete(REQ)
 
 
+def test_non_json_body_wrapped(monkeypatch):
+    class HtmlResponse(FakeResponse):
+        def json(self):
+            return json.loads(self.text)
+
+    backend, _, _ = live(monkeypatch, [HtmlResponse(200, text="<html>Bad Gateway</html>")])
+    with pytest.raises(TransportError, match="not JSON"):
+        backend.complete(REQ)
+
+
 def test_missing_credential_fails_before_any_request(monkeypatch):
     monkeypatch.delenv("OPENAI_API_KEY", raising=False)
     session = FakeSession([chat_ok()])
@@ -370,3 +380,12 @@ def test_build_backend_recording_wraps_scripted(tmp_path):
     assert isinstance(backend, RecordingBackend)
     assert backend.complete(REQ) == "a"
     assert path.exists()
+
+
+def test_build_backend_recording_wraps_live(tmp_path):
+    # Types only: constructing a live backend sends nothing.
+    path = tmp_path / "run.cassette.json"
+    backend = build_backend("live", record=True, cassette_path=path)
+    assert isinstance(backend, RecordingBackend)
+    assert isinstance(backend.inner, LiveBackend)
+    assert backend.cassette.path == path

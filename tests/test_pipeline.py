@@ -18,10 +18,10 @@ from puzzle2asp.pipeline import (
     Stage,
     apply_paraphrase,
     build_prompt,
-    extract_query,
     is_numbered_line,
     load_template,
     normalize_category,
+    numbered_lines,
     parse_constants,
     parse_predicates,
     render_raw_constants,
@@ -163,6 +163,39 @@ def test_paraphrase_needs_numbered_sentences():
         build_prompt(Stage.PARAPHRASE, story="No clue list here, just prose.")
 
 
+def extract_query(prompt: str, stage: Stage) -> dict[str, str]:
+    """Recover the substituted inputs from a built prompt (the inverse of build_prompt)."""
+
+    def between(text: str, start: str, end: str) -> str:
+        i = text.rindex(start) + len(start)
+        j = text.rindex(end)
+        return text[i:j].strip("\n")
+
+    if stage is Stage.CONSTANT_EXTRACTION:
+        return {"story": between(prompt, "Problem 3:\n", "\n\nConstants:")}
+    if stage is Stage.CONSTANT_FORMATTING:
+        return {"constants": between(prompt, "Original constants:\n", "\n\nFormatted constants:")}
+    if stage is Stage.PREDICATE_GENERATION:
+        tail = prompt[prompt.rindex("Problem 3:\n") :]
+        return {
+            "story": between(tail, "Problem 3:\n", "\n\nConstants:"),
+            "constants": between(tail, "Constants:\n", "\n\nPredicates:"),
+        }
+    if stage is Stage.GENERATE_RULES:
+        return {
+            "constants": between(prompt, "Constants:\n", "\n\nPredicates:"),
+            "predicates": between(prompt, "Predicates:\n", "\n\nASP rules:"),
+        }
+    if stage is Stage.PARAPHRASE:
+        return {"sentences": between(prompt, "Given:\n", "\nCopy:")}
+    tail = prompt[prompt.rindex("Problem 3:\n") :]
+    return {
+        "story": between(tail, "Problem 3:\n", "\n\nConstants:"),
+        "constants": between(tail, "Constants:\n", "\n\nPredicates:"),
+        "predicates": between(tail, "Predicates:\n", "\n\nConstraints:"),
+    }
+
+
 def test_extract_query_inverts_build_prompt(stories):
     story = stories["against_grain"]["story"]
     constants = parse_constants(FORMATTED_CONSTANTS)
@@ -178,6 +211,26 @@ def test_extract_query_inverts_build_prompt(stories):
     assert query["constants"] == constants.render()
     assert query["predicates"] == "match(E, P, W)"
     assert "story" not in query
+
+    prompt = build_prompt(Stage.CONSTANT_EXTRACTION, story=story)
+    assert extract_query(prompt, Stage.CONSTANT_EXTRACTION) == {"story": story.strip("\n")}
+
+    raw = "employee: Bonita; Yvette; Tabitha."
+    prompt = build_prompt(Stage.CONSTANT_FORMATTING, constants=raw)
+    assert extract_query(prompt, Stage.CONSTANT_FORMATTING) == {"constants": raw}
+
+    prompt = build_prompt(Stage.PARAPHRASE, story=story)
+    sentences = "\n".join(line.strip() for line in numbered_lines(story))
+    assert extract_query(prompt, Stage.PARAPHRASE) == {"sentences": sentences}
+
+    prompt = build_prompt(
+        Stage.CONSTRAINT_RULES, story=story, constants=constants, predicates=predicates
+    )
+    assert extract_query(prompt, Stage.CONSTRAINT_RULES) == {
+        "story": story.strip("\n"),
+        "constants": constants.render(),
+        "predicates": "match(E, P, W)",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +599,15 @@ def test_backend_failure_is_attributed_to_the_first_stage(stories):
         PipelineOutcome.BACKEND_FAILURE, Stage.CONSTANT_EXTRACTION
     )
     assert "backend:" in trace.records[0].parse_error
+
+
+def test_programming_error_in_backend_propagates(stories):
+    class BuggyBackend:
+        def complete(self, request):
+            raise RuntimeError("bug in the backend")
+
+    with pytest.raises(RuntimeError, match="bug in the backend"):
+        run_pipeline(stories["against_grain"]["story"], backend=BuggyBackend())
 
 
 def test_bad_rule_syntax_fails_the_rule_stage(stories, scripts):
