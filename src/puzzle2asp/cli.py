@@ -14,7 +14,7 @@ from pathlib import Path
 from .bench import EmptyInputError, SchemaError, evaluate_case, load_dataset, report
 from .gateway import GatewayConfig, build_backend
 from .ground import GroundingError, GroundTimeout, ground_program
-from .pipeline import PipelineOptions, run_pipeline
+from .pipeline import PipelineOptions, PipelineOutcome, run_pipeline
 from .syntax import AspSyntaxError, parse_program, render_program
 from .solve import SolveTimeout, enumerate_models, render_models
 
@@ -107,9 +107,10 @@ def _load_script(path: str | None):
 def _cmd_solve(args) -> int:
     text = Path(args.program).read_text(encoding="utf-8")
     program = parse_program(text)
-    ground = ground_program(program, deadline=time.monotonic() + args.budget)
+    deadline = time.monotonic() + args.budget
+    ground = ground_program(program, deadline=deadline)
     limit = None if args.limit == 0 else args.limit
-    result = enumerate_models(ground, limit=limit, budget=args.budget)
+    result = enumerate_models(ground, limit=limit, budget=args.budget, deadline=deadline)
     print(render_models(result))
     return 0
 
@@ -132,7 +133,7 @@ def _cmd_pipeline(args) -> int:
         Path(args.trace).write_text(
             json.dumps(trace.to_json(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
         )
-    if trace.outcome.kind != "Assembled":
+    if trace.outcome.kind != PipelineOutcome.ASSEMBLED:
         stage = trace.outcome.stage.value if trace.outcome.stage else "?"
         print(f"pipeline failed: {trace.outcome.kind} at {stage}", file=sys.stderr)
         return 2

@@ -133,6 +133,8 @@ class Cassette:
         target = Path(path) if path is not None else self.path
         if target is None:
             raise ValueError("cassette has no path to save to")
+        tmp = target.with_suffix(target.suffix + ".tmp")
+        # Held until the rename: concurrent saves share the one temp path.
         with self._lock:
             payload = {
                 "entries": [
@@ -145,9 +147,8 @@ class Cassette:
                     for e in self.entries
                 ]
             }
-        tmp = target.with_suffix(target.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-        tmp.replace(target)
+            tmp.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+            tmp.replace(target)
 
     def lookup(self, fp: str) -> str | None:
         with self._lock:

@@ -3,17 +3,24 @@
 The search is a deterministic depth-first walk over the ground choices in
 program order.  Within a choice, candidates are tried true-then-false in
 canonical atom order, which enumerates the size-k subsets lexicographically.
-Unit-style propagation keeps it honest:
+
+Every assignment is pushed on a trail and updates the true/false counters of
+each nogood and choice the atom belongs to.  Propagation then walks the trail
+from the first new atom and checks each constraint of each atom it passes;
+atoms forced by a check join the trail and are walked in turn.  Each check
+sees counters that are already up to date, and there are three forcing rules:
 
 * a nogood with all but one atom true forces the remaining atom false;
 * a choice that already has k true candidates forces the rest false;
 * a choice whose undecided candidates are exactly the k still needed
   forces them all true.
+
+A nogood with every atom true, or a choice with more than k true or fewer
+than k possible, is a conflict, and the search backtracks.
 """
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 from .ground import GAtom, GroundProgram, atom_sort_key
@@ -158,11 +165,8 @@ class _Engine:
 
     # -- assignment bookkeeping
 
-    def _set(self, aid: int, value: int, queue: deque) -> bool:
-        """Commit one assignment; return False on conflict."""
-        current = self.assignment[aid]
-        if current != _UNDEC:
-            return current == value
+    def _set(self, aid: int, value: int) -> None:
+        """Assign an undecided atom, push it on the trail, update every counter."""
         self.assignment[aid] = value
         self.trail.append(aid)
         if value == _TRUE:
@@ -170,31 +174,11 @@ class _Engine:
                 self.nogood_true[gi] += 1
             for ci in self.atom_choices[aid]:
                 self.choice_true[ci] += 1
-                if self.choice_true[ci] > self.choice_k[ci]:
-                    return False
         else:
             for gi in self.atom_nogoods[aid]:
                 self.nogood_false[gi] += 1
             for ci in self.atom_choices[aid]:
                 self.choice_false[ci] += 1
-        # schedule consequences
-        for gi in self.atom_nogoods[aid]:
-            size = len(self.nogood_members[gi])
-            if self.nogood_false[gi] == 0:
-                if self.nogood_true[gi] == size:
-                    return False
-                if self.nogood_true[gi] == size - 1:
-                    queue.append(("nogood", gi))
-        for ci in self.atom_choices[aid]:
-            size = len(self.choice_members[ci])
-            undecided = size - self.choice_true[ci] - self.choice_false[ci]
-            if self.choice_true[ci] + undecided < self.choice_k[ci]:
-                return False
-            if self.choice_true[ci] == self.choice_k[ci] and undecided:
-                queue.append(("cap", ci))
-            elif self.choice_true[ci] + undecided == self.choice_k[ci] and undecided:
-                queue.append(("fill", ci))
-        return True
 
     def _undo_to(self, mark: int) -> None:
         while len(self.trail) > mark:
@@ -212,71 +196,65 @@ class _Engine:
                 for ci in self.atom_choices[aid]:
                     self.choice_false[ci] -= 1
 
-    def _propagate(self, queue: deque) -> bool:
-        while queue:
-            kind, idx = queue.popleft()
-            if kind == "nogood":
-                gi = idx
-                if self.nogood_false[gi] > 0:
-                    continue
-                size = len(self.nogood_members[gi])
-                if self.nogood_true[gi] == size:
+    # -- the constraint checks: the only places that see a conflict or force atoms
+
+    def _nogood(self, gi: int) -> bool:
+        """Check nogood `gi`; force its last undecided atom false.  False on conflict."""
+        if self.nogood_false[gi]:
+            return True
+        members = self.nogood_members[gi]
+        missing = len(members) - self.nogood_true[gi]
+        if missing == 0:
+            return False
+        if missing == 1:
+            for aid in members:
+                if self.assignment[aid] == _UNDEC:
+                    self.stats.propagations += 1
+                    self._set(aid, _FALSE)
+                    break
+        return True
+
+    def _choice(self, ci: int) -> bool:
+        """Check choice `ci`; cap it when full, fill it when short.  False on conflict."""
+        members = self.choice_members[ci]
+        k = self.choice_k[ci]
+        true = self.choice_true[ci]
+        undecided = len(members) - true - self.choice_false[ci]
+        if true > k or true + undecided < k:
+            return False
+        if undecided and (true == k or true + undecided == k):
+            value = _FALSE if true == k else _TRUE
+            for aid in members:
+                if self.assignment[aid] == _UNDEC:
+                    self.stats.propagations += 1
+                    self._set(aid, value)
+        return True
+
+    def _propagate(self, head: int) -> bool:
+        """Check every constraint of every trail atom from `head` on."""
+        trail = self.trail
+        while head < len(trail):
+            aid = trail[head]
+            head += 1
+            for gi in self.atom_nogoods[aid]:
+                if not self._nogood(gi):
                     return False
-                if self.nogood_true[gi] == size - 1:
-                    for aid in self.nogood_members[gi]:
-                        if self.assignment[aid] == _UNDEC:
-                            self.stats.propagations += 1
-                            if not self._set(aid, _FALSE, queue):
-                                return False
-                            break
-            else:
-                ci = idx
-                size = len(self.choice_members[ci])
-                undecided = size - self.choice_true[ci] - self.choice_false[ci]
-                if self.choice_true[ci] > self.choice_k[ci]:
+            for ci in self.atom_choices[aid]:
+                if not self._choice(ci):
                     return False
-                if self.choice_true[ci] + undecided < self.choice_k[ci]:
-                    return False
-                if kind == "cap" and self.choice_true[ci] == self.choice_k[ci]:
-                    for aid in self.choice_members[ci]:
-                        if self.assignment[aid] == _UNDEC:
-                            self.stats.propagations += 1
-                            if not self._set(aid, _FALSE, queue):
-                                return False
-                elif kind == "fill" and self.choice_true[ci] + undecided == self.choice_k[ci]:
-                    for aid in self.choice_members[ci]:
-                        if self.assignment[aid] == _UNDEC:
-                            self.stats.propagations += 1
-                            if not self._set(aid, _TRUE, queue):
-                                return False
         return True
 
     def _assign(self, aid: int, value: int) -> bool:
-        queue: deque = deque()
-        if not self._set(aid, value, queue):
-            return False
-        return self._propagate(queue)
+        head = len(self.trail)
+        self._set(aid, value)
+        return self._propagate(head)
 
     def _initial_propagate(self) -> bool:
-        queue: deque = deque()
-        for ci in range(len(self.choice_members)):
-            size = len(self.choice_members[ci])
-            if self.choice_k[ci] > size:
-                return False
-            if self.choice_k[ci] == size:
-                queue.append(("fill", ci))
-            if self.choice_k[ci] == 0:
-                queue.append(("cap", ci))
-        for gi, members in enumerate(self.nogood_members):
-            if len(members) == 1:
-                queue.append(("nogood", gi))
-                # singleton nogood forbids its atom outright
-                aid = members[0]
-                if self.assignment[aid] == _UNDEC:
-                    self.stats.propagations += 1
-                    if not self._set(aid, _FALSE, queue):
-                        return False
-        return self._propagate(queue)
+        return (
+            all(self._choice(ci) for ci in range(len(self.choice_members)))
+            and all(self._nogood(gi) for gi in range(len(self.nogood_members)))
+            and self._propagate(0)
+        )
 
     # -- branching
 

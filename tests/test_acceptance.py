@@ -272,6 +272,8 @@ def test_criterion_6_randomized_fragment_programs_agree_with_oracles():
         result = enumerate_models(g, limit=None, budget=30.0)
         assert result.exhausted
         assert {frozenset(m.atoms) for m in result.models} == oracle_models(g)
+        for model in result.models:
+            assert check_model(g, model.atoms).ok
 
         checked += 1
         sat += bool(result.models)

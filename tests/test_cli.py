@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
+from puzzle2asp import cli
 from puzzle2asp.cli import main
 from puzzle2asp.syntax import parse_program
 
@@ -37,6 +39,24 @@ def test_solve_enumerates_all_models(program_file, capsys):
 def test_solve_limit_stops_early(program_file, capsys):
     assert main(["solve", str(program_file), "--limit", "1"]) == 0
     assert last_line(capsys) == "MODELS 1 EXHAUSTED false"
+
+
+def test_solve_grounds_and_solves_against_one_deadline(program_file, monkeypatch, capsys):
+    seen = {}
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            seen[name] = kwargs["deadline"]
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, call)
+
+    spy("ground_program", cli.ground_program)
+    spy("enumerate_models", cli.enumerate_models)
+    before = time.monotonic()
+    assert main(["solve", str(program_file), "--budget", "7"]) == 0
+    assert seen["ground_program"] == seen["enumerate_models"]
+    assert before + 7 <= seen["enumerate_models"] <= time.monotonic() + 7
 
 
 def test_solve_missing_file_is_a_runtime_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -164,6 +165,28 @@ def test_recording_resumes_from_existing_cassette(tmp_path):
     first.complete(REQ)
     resumed = RecordingBackend(ScriptedBackend([]), Cassette.load(path))
     assert resumed.complete(REQ) == "answer"  # no inner call needed
+
+
+def test_recording_backend_saves_safely_from_many_threads(tmp_path):
+    path = tmp_path / "run.cassette.json"
+    threads, per_thread = 8, 50
+    backend = RecordingBackend(ScriptedBackend(["answer"] * threads * per_thread), Cassette(path))
+    errors: list[BaseException] = []
+
+    def worker(t: int) -> None:
+        for i in range(per_thread):
+            try:
+                backend.complete(CompletionRequest(f"prompt {t} {i}", "gpt-4"))
+            except Exception as exc:
+                errors.append(exc)
+
+    pool = [threading.Thread(target=worker, args=(t,)) for t in range(threads)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join()
+    assert errors == []
+    assert len(Cassette.load(path).entries) == threads * per_thread
 
 
 # ---------------------------------------------------------------------------

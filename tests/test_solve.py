@@ -1,28 +1,37 @@
 """Model enumeration tests, checked against a generate-and-test oracle."""
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
 
-from oracles import oracle_models
+from oracles import oracle_models, random_program
 
 from puzzle2asp.ground import GAtom, ground_program
 from puzzle2asp.solve import (
     SolveTimeout,
+    _Engine,
+    _FALSE,
+    _TRUE,
     check_model,
     enumerate_models,
     render_models,
 )
 from puzzle2asp.syntax import parse_program
 
-QUEENS4 = (
-    "index_of_row(1;2;3;4).\n"
-    "index_of_column(1;2;3;4).\n"
-    "{assign(Ir, Ic): index_of_column(Ic)}=1 :- index_of_row(Ir).\n"
-    "{Ic1=Ic2}=0 :- assign(Ir1, Ic1), assign(Ir2, Ic2), Ir1!=Ir2.\n"
-    "{|Ir1-Ir2|=|Ic1-Ic2|}=0 :- assign(Ir1, Ic1), assign(Ir2, Ic2), Ir1!=Ir2.\n"
-)
+def _queens(n: int) -> str:
+    span = ";".join(str(i) for i in range(1, n + 1))
+    return (
+        f"index_of_row({span}).\n"
+        f"index_of_column({span}).\n"
+        "{assign(Ir, Ic): index_of_column(Ic)}=1 :- index_of_row(Ir).\n"
+        "{Ic1=Ic2}=0 :- assign(Ir1, Ic1), assign(Ir2, Ic2), Ir1!=Ir2.\n"
+        "{|Ir1-Ir2|=|Ic1-Ic2|}=0 :- assign(Ir1, Ic1), assign(Ir2, Ic2), Ir1!=Ir2.\n"
+    )
+
+
+QUEENS4 = _queens(4)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +90,60 @@ def test_matches_oracle_multi_model():
     assert_matches_oracle(
         "n(1;2;3).\n{p(A): n(A)}=2 :- n(1).\nA1+A2!=5 :- p(A1), p(A2), A1<A2.\n"
     )
+
+
+def _latin(n: int) -> str:
+    # every assign atom sits in three overlapping exactly-one choices
+    span = ";".join(str(i) for i in range(1, n + 1))
+    return (
+        f"index_of_row({span}).\n"
+        f"index_of_column({span}).\n"
+        f"number({span}).\n"
+        "{assign(Ir, Ic, N): number(N)}=1 :- index_of_row(Ir), index_of_column(Ic).\n"
+        "{assign(Ir, Ic, N): index_of_column(Ic)}=1 :- index_of_row(Ir), number(N).\n"
+        "{assign(Ir, Ic, N): index_of_row(Ir)}=1 :- index_of_column(Ic), number(N).\n"
+    )
+
+
+# Model counts are OEIS A002860 (Latin squares) and A000170 (n-queens).
+@pytest.mark.parametrize(
+    "text, count",
+    [(_latin(3), 12), (_latin(4), 576), (_queens(9), 352)],
+    ids=["latin3", "latin4", "queens9"],
+)
+def test_overlapping_choices_known_model_counts(text, count):
+    g = ground_program(parse_program(text))
+    result = enumerate_models(g, limit=None)
+    assert result.exhausted
+    assert len(result.models) == count
+    assert len({m.atoms for m in result.models}) == count
+    for model in result.models:
+        assert check_model(g, model.atoms)
+
+
+def test_counters_match_assignment_after_every_undo(monkeypatch):
+    # Seeds 1807 and 1995 overflow a choice while the overflowing atom still
+    # belongs to later choices whose counters must move with it.
+    undo = _Engine._undo_to
+    undos = 0
+
+    def checked_undo(self, mark):
+        nonlocal undos
+        undo(self, mark)
+        undos += 1
+        a = self.assignment
+        for ci, members in enumerate(self.choice_members):
+            assert self.choice_true[ci] == sum(a[i] == _TRUE for i in members)
+            assert self.choice_false[ci] == sum(a[i] == _FALSE for i in members)
+        for gi, members in enumerate(self.nogood_members):
+            assert self.nogood_true[gi] == sum(a[i] == _TRUE for i in members)
+            assert self.nogood_false[gi] == sum(a[i] == _FALSE for i in members)
+
+    monkeypatch.setattr(_Engine, "_undo_to", checked_undo)
+    for seed in (1807, 1995):
+        g = ground_program(random_program(random.Random(seed)))
+        assert enumerate_models(g, limit=None).exhausted
+    assert undos > 0
 
 
 # ---------------------------------------------------------------------------
