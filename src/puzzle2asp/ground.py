@@ -9,6 +9,31 @@ deals with three ground objects:
 * ``choices`` — pick exactly k of the listed candidate atoms,
 * ``nogoods`` — sets of candidate atoms that must not be jointly true.
 
+Choice bodies, choice conditions and test bodies are each compiled once into
+a join plan: the atoms in written order, each comparison right after the atom
+that binds its last variable.  An atom step looks its rows up in one index
+keyed on every argument position bound before it, built on first use.  When
+a rule is statically error-free, its plan also pushes work into the keys:
+
+* an ``=`` comparison with one side computed only from the variables the atom
+  binds and the other from earlier bindings, such as
+  ``((Ir1-1)/3,(Ic1-1)/3)=((Ir2-1)/3,(Ic2-1)/3)`` or ``W1="poplar"``, becomes
+  one more element of that atom's key instead of a filter;
+* a test rule's violation condition joins the body, so only violating
+  instances are enumerated.  For ``k=0`` (violated when some head holds) there
+  is one plan per head; nogoods form a set, so an instance found twice counts
+  once.  For ``k=None`` (violated when every head fails) each negated head is
+  pushed.  Any other ``k`` counts the true heads of every body instance.
+
+A rule is statically error-free when, given the value types of the extension
+columns its variables are bound from, every comparison, head and compound
+atom argument is well typed: arithmetic reads only integer columns, every
+``/`` and ``\\`` divides by a nonzero constant, and every ``=`` and ``!=``
+compares values of one type.  Any other rule runs the same plan without
+pushed comparisons, so each evaluation error is raised where a literal-by-
+literal join would raise it.  An atom argument that is not ground when its
+step is reached raises there, not when the rule is compiled.
+
 Grounding is deterministic: identical input produces an identical
 :meth:`GroundProgram.dump`.
 """
@@ -17,7 +42,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator
 
 from .syntax import (
     Abs,
@@ -33,7 +57,9 @@ from .syntax import (
     TestRule,
     TupleTerm,
     Variable,
+    atom_variables,
     chosen_predicates,
+    comparison_variables,
     term_variables,
     validate_safety,
 )
@@ -210,25 +236,21 @@ def evaluate_comparison(comp: Comparison, binding: Binding) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Extension tables with single-position indexing
+# Extension tables and compiled join plans
 # ---------------------------------------------------------------------------
 
 
 class _Extension:
-    """Ground tuples of one predicate plus lazy per-position value indexes."""
+    """Ground tuples of one predicate; `atoms` maps a chosen row to its GAtom."""
 
-    def __init__(self, rows: list[tuple[GroundValue, ...]]):
+    def __init__(self, rows: list[tuple[GroundValue, ...]], atoms: dict | None = None):
         self.rows = rows
-        self._indexes: dict[int, dict[GroundValue, list[tuple[GroundValue, ...]]]] = {}
+        self.atoms = atoms
 
-    def candidates(self, position: int, value: GroundValue) -> list[tuple[GroundValue, ...]]:
-        index = self._indexes.get(position)
-        if index is None:
-            index = {}
-            for row in self.rows:
-                index.setdefault(row[position], []).append(row)
-            self._indexes[position] = index
-        return index.get(value, [])
+    def column_type(self, position: int) -> type | None:
+        """int or str if every row holds that type at `position`, else None."""
+        kinds = {type(row[position]) for row in self.rows}
+        return kinds.pop() if len(kinds) == 1 else None
 
 
 def _ground_key(value) -> tuple:
@@ -237,6 +259,98 @@ def _ground_key(value) -> tuple:
 
 def _row_key(row: tuple[GroundValue, ...]) -> tuple:
     return tuple(_ground_key(v) for v in row)
+
+
+def _term_type(term: Term, types: dict[str, type | None]):
+    """int, str or a tuple of these if `term` evaluates without error, else None."""
+    if isinstance(term, IntConst):
+        return int
+    if isinstance(term, StrConst):
+        return str
+    if isinstance(term, Variable):
+        return types.get(term.name)
+    if isinstance(term, Abs):
+        return int if _term_type(term.inner, types) is int else None
+    if isinstance(term, TupleTerm):
+        elements = tuple(_term_type(t, types) for t in term.elements)
+        return None if None in elements else elements
+    if _term_type(term.left, types) is not int or _term_type(term.right, types) is not int:
+        return None
+    if term.op in "/\\" and not (isinstance(term.right, IntConst) and term.right.value != 0):
+        return None
+    return int
+
+
+def _comparison_typed(comp: Comparison, types: dict[str, type | None]) -> bool:
+    left, right = _term_type(comp.lhs, types), _term_type(comp.rhs, types)
+    if left is None or right is None:
+        return False
+    if comp.op in ("=", "!="):
+        return left == right
+    return left is int and right is int
+
+
+_NEGATED = {"=": "!=", "!=": "=", "<": ">=", ">": "<=", "<=": ">", ">=": "<"}
+
+
+class _AtomStep:
+    """Match one body atom: look its rows up by key, then bind its new variables.
+
+    The key holds the values of the argument positions bound before the step,
+    then one value per pushed ``=`` comparison.  `probe` evaluates the key
+    under the current binding; `row_sides` compute the same key parts from a
+    row when the index is built on first use.
+    """
+
+    def __init__(self, atom: Atom, extension: _Extension, bound: set[str]):
+        self.predicate = atom.predicate
+        self.extension = extension
+        self.probe: list[Term] = []
+        self.positions: list[int] = []
+        self.binders: dict[str, int] = {}  # variable -> first position binding it
+        self.repeats: list[tuple[int, int]] = []
+        self.not_ground = False
+        self.row_sides: list[Term] = []
+        self.index: dict[tuple, list[tuple[GroundValue, ...]]] | None = None
+        for position, term in enumerate(atom.args):
+            if isinstance(term, Variable) and term.name not in bound:
+                if term.name in self.binders:
+                    self.repeats.append((self.binders[term.name], position))
+                else:
+                    self.binders[term.name] = position
+            elif set(term_variables(term)) <= bound:
+                self.probe.append(term)
+                self.positions.append(position)
+            else:
+                # Raised when the step is reached, after the positions before it.
+                self.not_ground = True
+                break
+
+    def push(self, comp: Comparison, bound: set[str]) -> bool:
+        """Make an ``=`` comparison part of the key if one side reads only the
+        variables this step binds and the other only earlier ones."""
+        if comp.op != "=" or self.not_ground:
+            return False
+        for row_side, probe_side in ((comp.lhs, comp.rhs), (comp.rhs, comp.lhs)):
+            reads = set(term_variables(row_side))
+            if reads <= self.binders.keys() and set(term_variables(probe_side)) <= bound:
+                self.row_sides.append(row_side)
+                self.probe.append(probe_side)
+                return True
+        return False
+
+    def rows(self, key: tuple) -> list[tuple[GroundValue, ...]]:
+        if self.index is None:
+            self.index = {}
+            for row in self.extension.rows:
+                if any(row[a] != row[b] for a, b in self.repeats):
+                    continue
+                values = tuple(row[p] for p in self.positions)
+                if self.row_sides:
+                    names = {name: row[p] for name, p in self.binders.items()}
+                    values += tuple(evaluate_term(t, names) for t in self.row_sides)
+                self.index.setdefault(values, []).append(row)
+        return self.index.get(key, [])
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +380,15 @@ class _Grounder:
         facts = self._expand_facts()
         choices = self._ground_choices()
 
-        chosen_rows: dict[str, set[tuple[GroundValue, ...]]] = {}
+        chosen_atoms: dict[str, dict[tuple[GroundValue, ...], GAtom]] = {}
         for choice in choices:
             for atom in choice.candidates:
-                chosen_rows.setdefault(atom.predicate, set()).add(atom.args)
+                chosen_atoms.setdefault(atom.predicate, {})[atom.args] = atom
         # A chosen predicate whose choice rules grounded to nothing still needs
         # an (empty) extension so test-rule bodies over it match zero times.
-        self.chosen = {pred: _Extension([]) for pred in chosen_predicates(self.program)}
-        for pred, rows in chosen_rows.items():
-            self.chosen[pred] = _Extension(sorted(rows, key=_row_key))
+        self.chosen = {pred: _Extension([], {}) for pred in chosen_predicates(self.program)}
+        for pred, atoms in chosen_atoms.items():
+            self.chosen[pred] = _Extension(sorted(atoms, key=_row_key), atoms)
 
         nogoods = self._ground_tests()
         return GroundProgram(frozenset(facts), tuple(choices), tuple(nogoods))
@@ -306,119 +420,108 @@ class _Grounder:
             self.domain[pred] = _Extension(sorted(rows, key=_row_key))
         return facts
 
-    # -- shared literal matching
+    # -- rule plans
 
-    def _order_literals(self, literals, rule_index: int):
-        """Atoms in given order; each comparison as early as its variables allow."""
-        atoms = [lit for lit in literals if isinstance(lit, Atom)]
-        comps = [lit for lit in literals if isinstance(lit, Comparison)]
-        plan: list[tuple[str, object]] = []
+    def _extension(self, predicate: str) -> _Extension:
+        return self.domain[predicate] if predicate in self.domain else self.chosen[predicate]
+
+    def _error_free(self, atoms, comparisons, head: Atom | None = None) -> bool:
+        """True if no evaluation in the rule can raise, given the column types.
+
+        Only such a rule may have its comparisons reordered into keys: for any
+        other rule, skipping an instance could skip the error it raises.
+        """
+        types: dict[str, type | None] = {}
         bound: set[str] = set()
-        pending = list(comps)
         for atom in atoms:
-            plan.append(("atom", atom))
-            bound |= set().union(*(set(term_variables(a)) for a in atom.args)) if atom.args else set()
-            still: list[Comparison] = []
-            for comp in pending:
-                vars_needed = set(term_variables(comp.lhs)) | set(term_variables(comp.rhs))
-                if vars_needed <= bound:
-                    plan.append(("comp", comp))
-                else:
-                    still.append(comp)
+            extension = self._extension(atom.predicate)
+            for position, term in enumerate(atom.args):
+                if isinstance(term, Variable):
+                    types.setdefault(term.name, extension.column_type(position))
+                elif not set(term_variables(term)) <= bound:
+                    return False  # not ground when matched
+                elif _term_type(term, types) not in (int, str):
+                    return False
+            bound |= atom_variables(atom)
+        for term in head.args if head is not None else ():
+            if not isinstance(term, Variable) and _term_type(term, types) not in (int, str):
+                return False
+        return all(_comparison_typed(comp, types) for comp in comparisons)
+
+    def _plan(self, literals, rule_index: int, keyed: bool, pushed=(), bound=()) -> list:
+        """Compile literals into steps: atoms in the given order, each comparison
+        right after the atom that binds its last variable.
+
+        With `keyed`, an ``=`` comparison that one side computes from the atom's
+        row and the other from earlier bindings joins that atom's key instead.
+        `pushed` comparisons are placed the same way, or at the end.
+        """
+        plan: list = []
+        bound = set(bound)
+        pending = [(lit, False) for lit in literals if isinstance(lit, Comparison)]
+        pending += [(comp, True) for comp in pushed]
+        for atom in (lit for lit in literals if isinstance(lit, Atom)):
+            step = _AtomStep(atom, self._extension(atom.predicate), bound)
+            before = set(bound)
+            bound |= atom_variables(atom)
+            plan.append(step)
+            still = []
+            for comp, is_pushed in pending:
+                if not comparison_variables(comp) <= bound:
+                    still.append((comp, is_pushed))
+                elif not (keyed and step.push(comp, before)):
+                    plan.append(comp)
             pending = still
-        if pending:
+        if not all(is_pushed for _, is_pushed in pending):
             # validate_safety guarantees comparison variables occur in body
             # atoms, so anything left over is a genuine internal error.
             raise GroundingError(rule_index, {}, "comparison variables not bound by body atoms")
-        return plan
+        return plan + [comp for comp, _ in pending]
 
-    def _match_atom(
-        self, atom: Atom, extension: _Extension, binding: Binding, rule_index: int
-    ) -> Iterator[tuple[GroundValue, ...]]:
-        """Yield extension rows matching the atom; extends `binding` in place.
-
-        The caller must consume each yielded row before advancing and must
-        restore the binding via the row-local undo set we attach.
-        """
-        fixed: list[tuple[int, GroundValue]] = []
-        free: list[tuple[int, str]] = []
-        for position, term in enumerate(atom.args):
-            if isinstance(term, Variable):
-                if term.name in binding:
-                    fixed.append((position, binding[term.name]))
-                else:
-                    free.append((position, term.name))
-            else:
-                needed = set(term_variables(term))
-                if needed <= binding.keys():
-                    try:
-                        value = evaluate_term(term, binding)
-                    except (TypeError, ZeroDivisionError) as exc:
-                        raise GroundingError(rule_index, binding, str(exc)) from exc
-                    if isinstance(value, tuple):
-                        raise GroundingError(rule_index, binding, "tuple term in an atom argument")
-                    fixed.append((position, value))
-                else:
-                    raise GroundingError(
-                        rule_index, binding, f"argument of {atom.predicate} is not ground when matched"
-                    )
-        rows = (
-            extension.candidates(fixed[0][0], fixed[0][1]) if fixed else extension.rows
-        )
-        rest = fixed[1:]
-        for row in rows:
-            self._check_deadline()
-            if any(row[pos] != val for pos, val in rest):
-                continue
-            ok = True
-            bound_here: list[str] = []
-            for pos, name in free:
-                if name in binding:
-                    if binding[name] != row[pos]:
-                        ok = False
-                        break
-                else:
-                    binding[name] = row[pos]
-                    bound_here.append(name)
-            if ok:
-                yield row
-            for name in bound_here:
-                del binding[name]
-
-    def _instances(
-        self,
-        plan: list,
-        step: int,
-        binding: Binding,
-        chosen_atoms: list[GAtom],
-        rule_index: int,
-    ) -> Iterator[None]:
-        """Depth-first join over the literal plan; yields once per instance."""
+    def _run(
+        self, plan: list, step: int, binding: Binding, chosen: list[GAtom], rule_index: int, emit
+    ) -> None:
+        """Depth-first join over the plan; calls `emit` once per instance."""
         if step == len(plan):
-            yield None
+            emit()
             return
-        kind, payload = plan[step]
-        if kind == "comp":
+        current = plan[step]
+        if isinstance(current, Comparison):
+            if self._holds(current, binding, rule_index):
+                self._run(plan, step + 1, binding, chosen, rule_index, emit)
+            return
+        key: list = []
+        for i, term in enumerate(current.probe):
             try:
-                holds = evaluate_comparison(payload, binding)
+                value = evaluate_term(term, binding)
             except (TypeError, ZeroDivisionError) as exc:
                 raise GroundingError(rule_index, binding, str(exc)) from exc
-            if holds:
-                yield from self._instances(plan, step + 1, binding, chosen_atoms, rule_index)
-            return
-        atom: Atom = payload
-        if atom.predicate in self.domain:
-            extension = self.domain[atom.predicate]
-            is_chosen = False
-        else:
-            extension = self.chosen[atom.predicate]
-            is_chosen = True
-        for row in self._match_atom(atom, extension, binding, rule_index):
-            if is_chosen:
-                chosen_atoms.append(GAtom(atom.predicate, row))
-            yield from self._instances(plan, step + 1, binding, chosen_atoms, rule_index)
-            if is_chosen:
-                chosen_atoms.pop()
+            if isinstance(value, tuple) and i < len(current.positions):
+                raise GroundingError(rule_index, binding, "tuple term in an atom argument")
+            key.append(value)
+        if current.not_ground:
+            raise GroundingError(
+                rule_index, binding, f"argument of {current.predicate} is not ground when matched"
+            )
+        atoms = current.extension.atoms
+        for row in current.rows(tuple(key)):
+            self._check_deadline()
+            for name, position in current.binders.items():
+                binding[name] = row[position]
+            if atoms is not None:
+                chosen.append(atoms[row])
+            self._run(plan, step + 1, binding, chosen, rule_index, emit)
+            if atoms is not None:
+                chosen.pop()
+        for name in current.binders:
+            binding.pop(name, None)
+
+    @staticmethod
+    def _holds(comp: Comparison, binding: Binding, rule_index: int) -> bool:
+        try:
+            return evaluate_comparison(comp, binding)
+        except (TypeError, ZeroDivisionError) as exc:
+            raise GroundingError(rule_index, binding, str(exc)) from exc
 
     # -- choice rules
 
@@ -427,14 +530,18 @@ class _Grounder:
         for index, rule in enumerate(self.program.rules):
             if not isinstance(rule, ChoiceRule):
                 continue
-            plan = self._order_literals(rule.body, index)
+            body_atoms = [lit for lit in rule.body if isinstance(lit, Atom)]
+            comparisons = [lit for lit in rule.body if isinstance(lit, Comparison)]
+            keyed = self._error_free(body_atoms + list(rule.conditions), comparisons, rule.head)
+            plan = self._plan(rule.body, index, keyed)
             body_bindings: list[Binding] = []
             binding: Binding = {}
-            for _ in self._instances(plan, 0, binding, [], index):
-                body_bindings.append(dict(binding))
+            self._run(plan, 0, binding, [], index, lambda: body_bindings.append(dict(binding)))
             body_bindings.sort(key=lambda b: sorted((k, _ground_key(v)) for k, v in b.items()))
+            body_vars = set().union(*(atom_variables(a) for a in body_atoms))
+            conditions = self._plan(rule.conditions, index, keyed, bound=body_vars)
             for body_binding in body_bindings:
-                candidates = self._choice_candidates(rule, body_binding, index)
+                candidates = self._choice_candidates(rule, conditions, body_binding, index)
                 choices.append(
                     GroundChoice(
                         index,
@@ -446,13 +553,12 @@ class _Grounder:
         return choices
 
     def _choice_candidates(
-        self, rule: ChoiceRule, body_binding: Binding, rule_index: int
+        self, rule: ChoiceRule, plan: list, body_binding: Binding, rule_index: int
     ) -> list[GAtom]:
-        plan = [("atom", atom) for atom in rule.conditions]
         binding = dict(body_binding)
         seen: set[GAtom] = set()
-        out: list[GAtom] = []
-        for _ in self._instances(plan, 0, binding, [], rule_index):
+
+        def emit() -> None:
             args: list[GroundValue] = []
             for term in rule.head.args:
                 try:
@@ -462,34 +568,18 @@ class _Grounder:
                 if isinstance(value, tuple):
                     raise GroundingError(rule_index, binding, "tuple term in a choice head")
                 args.append(value)
-            atom = GAtom(rule.head.predicate, tuple(args))
-            if atom not in seen:
-                seen.add(atom)
-                out.append(atom)
-        out.sort(key=atom_sort_key)
-        return out
+            seen.add(GAtom(rule.head.predicate, tuple(args)))
+
+        self._run(plan, 0, binding, [], rule_index, emit)
+        return sorted(seen, key=atom_sort_key)
 
     # -- test rules
 
     def _ground_tests(self) -> list[Nogood]:
         nogoods: set[frozenset[GAtom]] = set()
         for index, rule in enumerate(self.program.rules):
-            if not isinstance(rule, TestRule):
-                continue
-            plan = self._order_literals(rule.body, index)
-            binding: Binding = {}
-            chosen_atoms: list[GAtom] = []
-            for _ in self._instances(plan, 0, binding, chosen_atoms, index):
-                true_heads = 0
-                for comp in rule.heads:
-                    try:
-                        if evaluate_comparison(comp, binding):
-                            true_heads += 1
-                    except (TypeError, ZeroDivisionError) as exc:
-                        raise GroundingError(index, binding, str(exc)) from exc
-                satisfied = true_heads >= 1 if rule.k is None else true_heads == rule.k
-                if not satisfied:
-                    nogoods.add(frozenset(chosen_atoms))
+            if isinstance(rule, TestRule):
+                self._ground_test(rule, index, nogoods)
         return [
             Nogood(atoms)
             for atoms in sorted(
@@ -497,6 +587,35 @@ class _Grounder:
             )
         ]
 
+    def _ground_test(self, rule: TestRule, index: int, nogoods: set[frozenset[GAtom]]) -> None:
+        atoms = [lit for lit in rule.body if isinstance(lit, Atom)]
+        comparisons = [lit for lit in rule.body if isinstance(lit, Comparison)]
+        keyed = self._error_free(atoms, comparisons + list(rule.heads))
+        chosen: list[GAtom] = []
+        binding: Binding = {}
+
+        def violated() -> None:
+            nogoods.add(frozenset(chosen))
+
+        def counted() -> None:
+            true_heads = sum(self._holds(comp, binding, index) for comp in rule.heads)
+            satisfied = true_heads >= 1 if rule.k is None else true_heads == rule.k
+            if not satisfied:
+                nogoods.add(frozenset(chosen))
+
+        emit = violated
+        if keyed and rule.k == 0:
+            # Violated when some head holds: one plan per head.
+            plans = [self._plan(rule.body, index, True, pushed=(head,)) for head in rule.heads]
+        elif keyed and rule.k is None:
+            # Violated when every head fails.
+            negated = tuple(Comparison(c.lhs, _NEGATED[c.op], c.rhs) for c in rule.heads)
+            plans = [self._plan(rule.body, index, True, pushed=negated)]
+        else:
+            plans = [self._plan(rule.body, index, keyed)]
+            emit = counted
+        for plan in plans:
+            self._run(plan, 0, binding, chosen, index, emit)
 
 def ground_program(program: Program, deadline: float | None = None) -> GroundProgram:
     """Ground a validated program.

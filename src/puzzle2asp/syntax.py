@@ -656,7 +656,8 @@ def validate_safety(program: Program) -> list[Diagnostic]:
     An empty result means the program grounds cleanly: predicates split
     into domain (fact heads) and chosen (choice heads), arities are
     consistent, every body atom refers to a declared predicate, and every
-    variable is bound by a positive body (or condition) atom.
+    variable is bound by a positive body atom (a choice head variable may
+    instead be bound by a condition atom).
     """
     diags: list[Diagnostic] = []
     domain = domain_predicates(program)
@@ -732,15 +733,18 @@ def validate_safety(program: Program) -> list[Diagnostic]:
                         check_atom_use(lit, index, domain | chosen, "body atom")
         elif isinstance(rule, ChoiceRule):
             check_arity(rule.head.predicate, len(rule.head.args), index)
-            bound: set[str] = set()
+            condition_bound: set[str] = set()
             for atom in rule.conditions:
                 check_atom_use(atom, index, domain, "a choice condition")
-                bound |= atom_variables(atom)
+                condition_bound |= atom_variables(atom)
+            # The body is grounded before the conditions, so only body atoms
+            # bind body comparison variables; the head may use both.
+            body_bound: set[str] = set()
             for lit in rule.body:
                 if isinstance(lit, Atom):
                     check_atom_use(lit, index, domain, "a choice body atom")
-                    bound |= atom_variables(lit)
-            for var in sorted(atom_variables(rule.head) - bound):
+                    body_bound |= atom_variables(lit)
+            for var in sorted(atom_variables(rule.head) - condition_bound - body_bound):
                 diags.append(
                     Diagnostic(
                         index,
@@ -751,7 +755,7 @@ def validate_safety(program: Program) -> list[Diagnostic]:
                 )
             for lit in rule.body:
                 if isinstance(lit, Comparison):
-                    for var in sorted(comparison_variables(lit) - bound):
+                    for var in sorted(comparison_variables(lit) - body_bound):
                         diags.append(
                             Diagnostic(
                                 index,

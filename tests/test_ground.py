@@ -1,12 +1,14 @@
 """Grounding tests: the nogood translation against a brute-force substitution oracle."""
 from __future__ import annotations
 
+import hashlib
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DATA_DIR
 from oracles import oracle_ground
 
 from puzzle2asp.ground import (
@@ -209,3 +211,85 @@ def test_expired_deadline_raises(corpus):
     program = parse_program(corpus["sudoku9"])
     with pytest.raises(GroundTimeout):
         ground_program(program, deadline=time.monotonic() - 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Pinned output: SHA-256 of the dump of every corpus program
+# ---------------------------------------------------------------------------
+
+CORPUS_DUMP_SHA256 = {
+    "against_grain": "3d23258015c075e1b91bf7d55248356dbad6d3732b4c464d17f05a8393a64d64",
+    "anti_knight": "faaa1553d4d4fe32f208872aa783e67eff1ce6229ef44529a2b7e9417a817b9c",
+    "foodie": "56ab9d6415e2b4cd24c522b6dfdc2ab99420287507f01e3039675fe412756e1c",
+    "jobs": "a500ea0dd0ad1655ff73f48b8dafe8de954ea2ab45bab9656fd1a24683080c53",
+    "offset_sudoku": "1f7c87ef020d40b34207dc44d2f4ec2c4704804868ec80624201282794579d65",
+    "queens8": "b0d256686f1a52acdd9a29cc59dcc7bbd254f16d7972f03b25bf535db296a808",
+    "shidoku4": "409abe1caffec52d7af08629e97753fdbdb7ccf6c747b48f6b08a2108183c601",
+    "sudoku9": "00c75d59ff8b6dc6f3688a734f60b9615efcbcbf88f97d210f1bcbeb9c45b84f",
+    "sudoku9_zero": "c5c15d046017ef1e8287ffd3b4c9cf250e4049198f4a979b5e5619893c7790cd",
+    "sudoku_x": "a6e076bf3dca61afcf226b9874ee7e3022de7059b1494028358880ba698e1dfc",
+    "weight_loss": "2546124dacb80cc58425da1144768b16251b600eb6a7c37c58e69a0b0071ec58",
+    "winter_olympics": "1ed306f9a7bb76dbc8b0bc6f1a2ada71a3affab93b480d2bd29728a9f4f99963",
+}
+
+
+def test_dump_hashes_cover_the_corpus():
+    assert sorted(CORPUS_DUMP_SHA256) == sorted(p.stem for p in DATA_DIR.glob("*.lp"))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_DUMP_SHA256))
+def test_corpus_dump_is_pinned(corpus, name):
+    dump = ground_program(parse_program(corpus[name])).dump()
+    assert hashlib.sha256(dump.encode()).hexdigest() == CORPUS_DUMP_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
+# Errors are raised exactly where the literal order reaches them, even where
+# keys and pushed heads could skip instances
+# ---------------------------------------------------------------------------
+
+
+def test_unreached_non_ground_atom_raises_nothing():
+    # X>5 drops every instance before c(Y+1), whose argument is not ground.
+    text = "d(1).\ne(1).\n{c(X): d(X)}=1 :- e(Z).\nX=1 :- c(X), X>5, c(Y+1).\n"
+    ground_program(parse_program(text))
+
+
+def test_reached_non_ground_atom_raises():
+    text = "d(6).\ne(1).\n{c(X): d(X)}=1 :- e(Z).\nX=1 :- c(X), X>5, c(Y+1).\n"
+    with pytest.raises(GroundingError) as info:
+        ground_program(parse_program(text))
+    assert info.value.rule_index == 3
+    assert info.value.message == "argument of c is not ground when matched"
+
+
+def test_division_by_zero_survives_a_pushable_head():
+    # The head X1=X2 contradicts X1!=X2, so no instance violates the rule,
+    # but the body still divides by Z=0.
+    text = (
+        "p(0).\nd(1;2).\ne(1).\n{c(X): d(X)}=1 :- e(W).\nq(1).\n"
+        "{X1=X2}=0 :- c(X1), c(X2), X1!=X2, p(Z), q(X1/Z).\n"
+    )
+    with pytest.raises(GroundingError) as info:
+        ground_program(parse_program(text))
+    assert info.value.rule_index == 5
+    assert "division by zero" in info.value.message
+
+
+def test_mixed_type_column_is_not_used_as_a_key():
+    text = (
+        'p(1;"a").\nq(1;2).\n{c(X,Y): q(Y)}=1 :- p(X).\n'
+        "{Y1=Y2}=0 :- c(X1,Y1), c(X2,Y2), X1=X2, Y1!=Y2.\n"
+    )
+    with pytest.raises(GroundingError) as info:
+        ground_program(parse_program(text))
+    assert info.value.rule_index == 3
+    assert "cannot compare 1 with 'a'" in info.value.message
+
+
+def test_division_by_a_variable_that_can_be_zero():
+    text = "p(0;1;2).\nd(1).\n{c(X): p(X)}=1 :- d(Z).\n{X1=X2}=0 :- c(X1), c(X2), 6/X1=3.\n"
+    with pytest.raises(GroundingError) as info:
+        ground_program(parse_program(text))
+    assert info.value.rule_index == 3
+    assert "division by zero" in info.value.message

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from conftest import DATA_DIR
 from oracles import oracle_models, random_program
 
 from puzzle2asp.ground import GAtom, ground_program
@@ -68,6 +69,15 @@ def test_furniture_unique_model(corpus):
         'match("Yvette",275,"sandalwood")',
     }
     assert {frozenset(m.atoms) for m in result.models} == oracle_models(g)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DATA_DIR.glob("*.lp")))
+def test_corpus_models_pass_check_model(corpus, name):
+    g = ground_program(parse_program(corpus[name]))
+    result = enumerate_models(g, limit=2)
+    assert result.models
+    for model in result.models:
+        assert check_model(g, model.atoms).ok
 
 
 def test_four_queens_has_two_models():

@@ -225,6 +225,15 @@ def test_clean_program_has_no_diagnostics():
     assert validate_safety(prog) == []
 
 
+def test_choice_body_comparison_needs_a_body_atom():
+    # X is bound only by the condition d(X), which the body is grounded without.
+    prog = parse_program("d(1;2).\ne(1).\n{p(X): d(X)}=1 :- e(Y), X>1.")
+    diags = validate_safety(prog)
+    assert [(d.rule_index, d.kind, d.subject) for d in diags] == [
+        (2, DiagnosticKind.UNSAFE_VARIABLE, "X")
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Property: rendering is a faithful inverse of parsing
 # ---------------------------------------------------------------------------
