@@ -15,7 +15,7 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Protocol
@@ -99,8 +99,19 @@ class CassetteEntry:
     recorded_at: str
 
 
+def _line(entry: CassetteEntry) -> str:
+    return json.dumps(asdict(entry), ensure_ascii=False) + "\n"
+
+
 class Cassette:
-    """Fingerprint-keyed store of request/response pairs.
+    """Fingerprint-keyed store of request/response pairs, kept as JSON Lines.
+
+    The file holds one entry object per line.  A save to the cassette's own
+    file appends only the entries recorded since the last save, so a run
+    killed mid-write loses at most its last, truncated line: `load` drops
+    that line and the next save rewrites the file whole.  Older
+    single-object ``{"entries": [...]}`` files still load and are rewritten
+    as JSON Lines on the next save.
 
     Fingerprints are unique within a cassette: recording an already-present
     request is a no-op (the stored response is reused), which makes record
@@ -113,12 +124,38 @@ class Cassette:
         self.entries: list[CassetteEntry] = []
         self._index: dict[str, CassetteEntry] = {}
         self._lock = threading.Lock()
+        # How many leading entries are lines of `path`; None until that file
+        # is known to be clean JSON Lines, so the next save writes it whole.
+        self._saved: int | None = None
 
     @classmethod
     def load(cls, path: str | Path) -> "Cassette":
         cassette = cls(path)
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        for item in raw["entries"]:
+        text = Path(path).read_text(encoding="utf-8")
+        try:
+            legacy = json.loads(text)
+        except json.JSONDecodeError:
+            legacy = None  # several lines, or one cut off
+        if isinstance(legacy, dict) and "entries" in legacy:
+            items, clean = legacy["entries"], False
+        else:
+            *lines, tail = text.split("\n")
+            items = []
+            for number, line in enumerate(lines, 1):
+                if line.strip():
+                    try:
+                        items.append(json.loads(line))
+                    except json.JSONDecodeError as exc:
+                        raise ValueError(f"{path}: line {number} is not a cassette entry: {exc}") from exc
+            clean = not tail
+            if tail:
+                try:
+                    items.append(json.loads(tail))
+                except json.JSONDecodeError:
+                    pass  # the last line was cut off mid-write
+        for item in items:
+            if item["fingerprint"] in cassette._index:
+                continue  # the first entry wins, as in `record`
             entry = CassetteEntry(
                 fingerprint=item["fingerprint"],
                 request=item["request"],
@@ -127,28 +164,28 @@ class Cassette:
             )
             cassette.entries.append(entry)
             cassette._index[entry.fingerprint] = entry
+        if clean:
+            cassette._saved = len(cassette.entries)
         return cassette
 
     def save(self, path: str | Path | None = None) -> None:
+        """Append the unsaved entries to the cassette's own clean file, or
+        write `path` whole through a temp file and a rename."""
         target = Path(path) if path is not None else self.path
         if target is None:
             raise ValueError("cassette has no path to save to")
-        tmp = target.with_suffix(target.suffix + ".tmp")
-        # Held until the rename: concurrent saves share the one temp path.
+        own = target == self.path
         with self._lock:
-            payload = {
-                "entries": [
-                    {
-                        "fingerprint": e.fingerprint,
-                        "request": e.request,
-                        "response_text": e.response_text,
-                        "recorded_at": e.recorded_at,
-                    }
-                    for e in self.entries
-                ]
-            }
-            tmp.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-            tmp.replace(target)
+            if own and self._saved is not None:
+                with target.open("a", encoding="utf-8") as f:
+                    f.write("".join(map(_line, self.entries[self._saved :])))
+            else:
+                # The lock is held until the rename: concurrent saves share one temp path.
+                tmp = target.with_suffix(target.suffix + ".tmp")
+                tmp.write_text("".join(map(_line, self.entries)), encoding="utf-8")
+                tmp.replace(target)
+            if own:
+                self._saved = len(self.entries)
 
     def lookup(self, fp: str) -> str | None:
         with self._lock:
@@ -223,8 +260,8 @@ class ReplayBackend:
 class RecordingBackend:
     """Record-through wrapper: replay on a cassette hit, else ask `inner` and store.
 
-    A cassette with a path is flushed to disk after every new entry so an
-    interrupted run keeps what it paid for.
+    A cassette with a path is saved after every new entry, which appends
+    that one line to its file, so an interrupted run keeps what it paid for.
     """
 
     def __init__(self, inner: Backend, cassette: Cassette):

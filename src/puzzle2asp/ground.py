@@ -472,9 +472,10 @@ class _Grounder:
                 elif not (keyed and step.push(comp, before)):
                     plan.append(comp)
             pending = still
-        if not all(is_pushed for _, is_pushed in pending):
-            # validate_safety guarantees comparison variables occur in body
-            # atoms, so anything left over is a genuine internal error.
+        # Left over are pushed comparisons and the bound ones of a body with no
+        # atom to follow.  validate_safety guarantees comparison variables
+        # occur in body atoms, so an unbound one is a genuine internal error.
+        if any(not is_pushed and not comparison_variables(comp) <= bound for comp, is_pushed in pending):
             raise GroundingError(rule_index, {}, "comparison variables not bound by body atoms")
         return plan + [comp for comp, _ in pending]
 

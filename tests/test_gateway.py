@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
@@ -187,6 +188,99 @@ def test_recording_backend_saves_safely_from_many_threads(tmp_path):
         thread.join()
     assert errors == []
     assert len(Cassette.load(path).entries) == threads * per_thread
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == threads * per_thread
+    assert all(json.loads(line)["response_text"] == "answer" for line in lines)
+
+
+def _request(i: int) -> CompletionRequest:
+    return CompletionRequest(f"prompt {i}", "gpt-4")
+
+
+def _entry(i: int, response: str = "answer") -> dict:
+    cassette = Cassette()
+    cassette.record(_request(i), response)
+    (entry,) = cassette.entries
+    return asdict(entry)
+
+
+def test_each_save_appends_one_entry_line(tmp_path):
+    path = tmp_path / "run.cassette.json"
+    backend = RecordingBackend(ScriptedBackend(["answer"] * 5), Cassette(path))
+    backend.complete(_request(0))
+    for i in range(1, 5):
+        before = path.read_text(encoding="utf-8")
+        backend.complete(_request(i))
+        after = path.read_text(encoding="utf-8")
+        assert after.startswith(before)
+        added = after[len(before):]
+        assert added.count("\n") == 1 and added.endswith("\n")
+        assert json.loads(added)["request"]["prompt"] == f"prompt {i}"
+
+
+def test_line_separators_in_a_response_survive_a_reload(tmp_path):
+    # Entries are written with ensure_ascii=False, so U+2028 and U+0085 stay
+    # raw in the file; only "\n" may end a line.
+    path = tmp_path / "run.cassette.json"
+    odd = "a\u2028b\u0085c\rd\ne \u00e9"
+    backend = RecordingBackend(ScriptedBackend(["answer", odd]), Cassette(path))
+    backend.complete(_request(0))
+    backend.complete(_request(1))
+    assert Cassette.load(path).lookup(fingerprint(_request(1))) == odd
+
+
+def test_truncated_last_line_is_dropped_then_rewritten(tmp_path):
+    path = tmp_path / "run.cassette.json"
+    whole = "".join(json.dumps(_entry(i)) + "\n" for i in range(3))
+    path.write_text(whole[: len(whole) - 20], encoding="utf-8")  # killed mid-write
+    cassette = Cassette.load(path)
+    assert [e.request["prompt"] for e in cassette.entries] == ["prompt 0", "prompt 1"]
+    RecordingBackend(ScriptedBackend(["again"]), cassette).complete(_request(2))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["request"]["prompt"] for line in lines] == ["prompt 0", "prompt 1", "prompt 2"]
+    assert Cassette.load(path).lookup(fingerprint(_request(2))) == "again"
+
+
+def test_bad_line_before_the_last_raises(tmp_path):
+    path = tmp_path / "run.cassette.json"
+    path.write_text(json.dumps(_entry(0))[:-5] + "\n" + json.dumps(_entry(1)) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 1"):
+        Cassette.load(path)
+
+
+def test_legacy_cassette_loads_and_is_rewritten_as_json_lines(tmp_path):
+    path = tmp_path / "run.cassette.json"
+    legacy = {"entries": [_entry(0), _entry(1)]}
+    path.write_text(json.dumps(legacy, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    cassette = Cassette.load(path)
+    assert cassette.lookup(fingerprint(_request(1))) == "answer"
+    RecordingBackend(ScriptedBackend(["new"]), cassette).complete(_request(2))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["request"]["prompt"] for line in lines] == ["prompt 0", "prompt 1", "prompt 2"]
+
+
+@pytest.mark.parametrize("legacy", [False, True])
+def test_repeated_fingerprint_in_a_file_keeps_the_first_response(tmp_path, legacy):
+    path = tmp_path / "run.cassette.json"
+    entries = [_entry(0, "first"), _entry(1), _entry(0, "second")]
+    if legacy:
+        path.write_text(json.dumps({"entries": entries}, indent=2), encoding="utf-8")
+    else:
+        path.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+    cassette = Cassette.load(path)
+    assert cassette.lookup(fingerprint(_request(0))) == "first"
+    assert len(cassette.entries) == 2
+
+
+def test_save_to_another_path_writes_it_whole(tmp_path):
+    path, copy = tmp_path / "run.cassette.json", tmp_path / "copy.cassette.json"
+    backend = RecordingBackend(ScriptedBackend(["answer"] * 2), Cassette(path))
+    backend.complete(_request(0))
+    backend.cassette.save(copy)
+    backend.complete(_request(1))
+    backend.cassette.save(copy)
+    assert copy.read_text(encoding="utf-8") == path.read_text(encoding="utf-8")
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 2
 
 
 # ---------------------------------------------------------------------------

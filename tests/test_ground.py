@@ -19,6 +19,7 @@ from puzzle2asp.ground import (
     evaluate_term,
     ground_program,
 )
+from puzzle2asp.solve import enumerate_models
 from puzzle2asp.syntax import (
     Arith,
     Comparison,
@@ -96,6 +97,30 @@ def test_never_instantiated_choice_leaves_an_empty_extension():
     g = ground_program(parse_program(text))
     assert g.choices == ()
     assert g.nogoods == ()
+
+
+ATOM_FREE_BODIES = [
+    "1=2 :- 1>0.",
+    "1=2 :- 1>2.",
+    "{1=1}=0 :- 1=1.",
+    "d(1;2).\n{p(X): d(X)}=1 :- 1<2.",
+]
+
+
+@pytest.mark.parametrize("text", ATOM_FREE_BODIES)
+def test_atom_free_body_matches_oracle(text):
+    # Safe by validate_safety; the plan has no atom to hang the comparisons on.
+    assert_matches_oracle(text)
+
+
+def test_atom_free_bodies_ground_as_expected():
+    for violated in ("1=2 :- 1>0.", "{1=1}=0 :- 1=1."):
+        g = ground_program(parse_program(violated))
+        assert [n.atoms for n in g.nogoods] == [frozenset()]
+        assert enumerate_models(g, limit=None).models == []
+    assert ground_program(parse_program("1=2 :- 1>2.")).dump() == ""
+    (choice,) = ground_program(parse_program("d(1;2).\n{p(X): d(X)}=1 :- 1<2.")).choices
+    assert choice.candidates == (GAtom("p", (1,)), GAtom("p", (2,)))
 
 
 def test_furniture_ground_shape(corpus):
