@@ -24,10 +24,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .gateway import Backend
-from .ground import GroundingError, GroundTimeout, ground_program
+from .ground import GroundingError, GroundTimeout, GroundValue, ground_program
 from .pipeline import (
     CategorizedConstants,
-    GroundValue,
     MappingError,
     PipelineOptions,
     PipelineOutcome,

@@ -297,6 +297,14 @@ class GatewayConfig:
     requests_per_minute: int | None = None
     backoff_base_s: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.api_style not in ("chat", "completions"):
+            raise ValueError(f'api_style must be "chat" or "completions", not {self.api_style!r}')
+        if self.max_in_flight < 1:
+            raise ValueError(f"max_in_flight must be at least 1, not {self.max_in_flight}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be at least 0, not {self.max_retries}")
+
     @classmethod
     def from_file(cls, path: str | Path) -> "GatewayConfig":
         data = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -21,10 +21,10 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Sequence, Union
+from typing import Sequence
 
 from .gateway import BACKEND_ERRORS, Backend, CompletionRequest, fingerprint
-from .ground import render_value
+from .ground import GroundValue, render_value
 from .syntax import AspSyntaxError, Program, parse_program, render_program
 
 
@@ -65,7 +65,6 @@ class MappingError(Exception):
 # Constants and predicate signatures
 # ---------------------------------------------------------------------------
 
-GroundValue = Union[int, str]
 RawConstants = Sequence[tuple[str, Sequence[str]]]
 
 _INT_RE = re.compile(r"-?\d+\Z")

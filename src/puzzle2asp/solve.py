@@ -5,10 +5,12 @@ program order.  Within a choice, candidates are tried true-then-false in
 canonical atom order, which enumerates the size-k subsets lexicographically.
 
 Every assignment is pushed on a trail and updates the true/false counters of
-each nogood and choice the atom belongs to.  Propagation then walks the trail
-from the first new atom and checks each constraint of each atom it passes;
-atoms forced by a check join the trail and are walked in turn.  Each check
-sees counters that are already up to date, and there are three forcing rules:
+each choice the atom belongs to; counters are kept for choices only.
+Propagation then walks the trail from the first new atom and checks each
+choice of each atom it passes.  A nogood is checked from its members, and only
+when one of them becomes true: a false atom satisfies its nogoods, so it can
+neither complete nor shorten one.  Atoms forced by a check join the trail and
+are walked in turn, and there are three forcing rules:
 
 * a nogood with all but one atom true forces the remaining atom false;
 * a choice that already has k true candidates forces the rest false;
@@ -144,20 +146,11 @@ class _Engine:
             for aid in ids:
                 self.atom_choices[aid].append(ci)
 
-        self.unsat = False
         self.nogood_members: list[list[int]] = []
-        self.nogood_true: list[int] = []
-        self.nogood_false: list[int] = []
         self.atom_nogoods: list[list[int]] = [[] for _ in range(n)]
-        for nogood in g.nogoods:
-            if not nogood.atoms:
-                self.unsat = True
-                continue
+        for gi, nogood in enumerate(g.nogoods):
             ids = sorted(self.index[a] for a in nogood.atoms)
-            gi = len(self.nogood_members)
             self.nogood_members.append(ids)
-            self.nogood_true.append(0)
-            self.nogood_false.append(0)
             for aid in ids:
                 self.atom_nogoods[aid].append(gi)
 
@@ -166,17 +159,13 @@ class _Engine:
     # -- assignment bookkeeping
 
     def _set(self, aid: int, value: int) -> None:
-        """Assign an undecided atom, push it on the trail, update every counter."""
+        """Assign an undecided atom, push it on the trail, update its choice counters."""
         self.assignment[aid] = value
         self.trail.append(aid)
         if value == _TRUE:
-            for gi in self.atom_nogoods[aid]:
-                self.nogood_true[gi] += 1
             for ci in self.atom_choices[aid]:
                 self.choice_true[ci] += 1
         else:
-            for gi in self.atom_nogoods[aid]:
-                self.nogood_false[gi] += 1
             for ci in self.atom_choices[aid]:
                 self.choice_false[ci] += 1
 
@@ -186,13 +175,9 @@ class _Engine:
             value = self.assignment[aid]
             self.assignment[aid] = _UNDEC
             if value == _TRUE:
-                for gi in self.atom_nogoods[aid]:
-                    self.nogood_true[gi] -= 1
                 for ci in self.atom_choices[aid]:
                     self.choice_true[ci] -= 1
             else:
-                for gi in self.atom_nogoods[aid]:
-                    self.nogood_false[gi] -= 1
                 for ci in self.atom_choices[aid]:
                     self.choice_false[ci] -= 1
 
@@ -200,18 +185,20 @@ class _Engine:
 
     def _nogood(self, gi: int) -> bool:
         """Check nogood `gi`; force its last undecided atom false.  False on conflict."""
-        if self.nogood_false[gi]:
-            return True
-        members = self.nogood_members[gi]
-        missing = len(members) - self.nogood_true[gi]
-        if missing == 0:
+        assignment = self.assignment
+        undecided = None
+        for aid in self.nogood_members[gi]:
+            value = assignment[aid]
+            if value == _FALSE:
+                return True
+            if value == _UNDEC:
+                if undecided is not None:
+                    return True
+                undecided = aid
+        if undecided is None:
             return False
-        if missing == 1:
-            for aid in members:
-                if self.assignment[aid] == _UNDEC:
-                    self.stats.propagations += 1
-                    self._set(aid, _FALSE)
-                    break
+        self.stats.propagations += 1
+        self._set(undecided, _FALSE)
         return True
 
     def _choice(self, ci: int) -> bool:
@@ -236,9 +223,10 @@ class _Engine:
         while head < len(trail):
             aid = trail[head]
             head += 1
-            for gi in self.atom_nogoods[aid]:
-                if not self._nogood(gi):
-                    return False
+            if self.assignment[aid] == _TRUE:
+                for gi in self.atom_nogoods[aid]:
+                    if not self._nogood(gi):
+                        return False
             for ci in self.atom_choices[aid]:
                 if not self._choice(ci):
                     return False
@@ -277,7 +265,7 @@ class _Engine:
             self.stats.elapsed_s = time.monotonic() - start
             return SolveResult(models, exhausted, self.stats)
 
-        if self.unsat or not self._initial_propagate():
+        if not self._initial_propagate():
             return out(True)
 
         # frames: (atom id, trail mark, tried_false)

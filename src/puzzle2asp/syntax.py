@@ -543,10 +543,6 @@ def parse_program(text: str) -> Program:
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "\\": 2}
 
 
-def render_term(term: Term) -> str:
-    return _render_term(term, 0)
-
-
 def _render_term(term: Term, parent_prec: int, right_side: bool = False) -> str:
     if isinstance(term, IntConst):
         if term.value < 0 and parent_prec > 0:

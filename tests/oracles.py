@@ -136,15 +136,29 @@ def oracle_ground(program):
 
 
 def oracle_models(g: GroundProgram) -> set[frozenset[GAtom]]:
-    """All stable models by exhaustive search; feasible only for tiny programs."""
-    per_choice = [
-        list(itertools.combinations(choice.candidates, choice.k)) for choice in g.choices
-    ]
+    """All stable models by exhaustive search; feasible only for tiny programs.
+
+    Generates either one selection per choice or every subset of the
+    candidate atoms, whichever is fewer, and tests each against every choice
+    and nogood.  Both give the same models; choices that share their
+    candidates make the per-choice product far larger than the subsets.
+    """
+    union = sorted({a for c in g.choices for a in c.candidates}, key=atom_sort_key)
+    if 2 ** len(union) < search_space(g):
+        selections = itertools.chain.from_iterable(
+            itertools.combinations(union, r) for r in range(len(union) + 1)
+        )
+    else:
+        selections = (
+            itertools.chain.from_iterable(combo)
+            for combo in itertools.product(
+                *(itertools.combinations(c.candidates, c.k) for c in g.choices)
+            )
+        )
     models: set[frozenset[GAtom]] = set()
-    for combo in itertools.product(*per_choice):
+    for selection in selections:
         atoms = set(g.facts)
-        for selection in combo:
-            atoms.update(selection)
+        atoms.update(selection)
         # Re-check every cardinality against the union: overlapping choices may
         # disagree with each other even though each selection was locally valid.
         if any(

@@ -144,6 +144,15 @@ def test_pipeline_with_given_constants(tmp_path, stories, scripts, capsys):
     assert 'price(24; 25; 26; 27).' in capsys.readouterr().out
 
 
+def test_pipeline_live_rejects_bad_config(furniture_files, tmp_path, capsys):
+    story, _ = furniture_files
+    config = tmp_path / "gw.json"
+    config.write_text(json.dumps({"endpoint": "http://localhost:9", "max_in_flight": 0}))
+    code = main(["pipeline", str(story), "--backend", "live", "--config", str(config)])
+    assert code == 2
+    assert "error: max_in_flight must be at least 1" in capsys.readouterr().err
+
+
 def test_pipeline_scripted_requires_script(furniture_files, capsys):
     story, _ = furniture_files
     assert main(["pipeline", str(story), "--backend", "scripted"]) == 2

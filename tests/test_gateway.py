@@ -470,6 +470,22 @@ def test_config_from_file_rejects_unknown_keys(tmp_path):
         GatewayConfig.from_file(path)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"api_style": "Chat"}, {"max_in_flight": 0}, {"max_retries": -1}],
+    ids=["api_style", "max_in_flight", "max_retries"],
+)
+def test_config_rejects_bad_values(tmp_path, bad):
+    # "Chat" would post to /completions, a zero semaphore would block every
+    # call forever, and -1 retries would skip the request loop entirely.
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        GatewayConfig(**bad)
+    path = tmp_path / "gw.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        GatewayConfig.from_file(path)
+
+
 def test_config_from_env_reads_base_url(monkeypatch):
     monkeypatch.setenv("OPENAI_BASE_URL", "http://mirror.internal/v1")
     assert GatewayConfig.from_env().endpoint == "http://mirror.internal/v1"

@@ -1,6 +1,7 @@
 """Model enumeration tests, checked against a generate-and-test oracle."""
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
@@ -15,6 +16,7 @@ from puzzle2asp.solve import (
     _Engine,
     _FALSE,
     _TRUE,
+    _UNDEC,
     check_model,
     enumerate_models,
     render_models,
@@ -133,7 +135,8 @@ def test_overlapping_choices_known_model_counts(text, count):
 
 def test_counters_match_assignment_after_every_undo(monkeypatch):
     # Seeds 1807 and 1995 overflow a choice while the overflowing atom still
-    # belongs to later choices whose counters must move with it.
+    # belongs to later choices whose counters must move with it.  Nogoods keep
+    # no counters; the trail must list each decided atom exactly once.
     undo = _Engine._undo_to
     undos = 0
 
@@ -145,15 +148,39 @@ def test_counters_match_assignment_after_every_undo(monkeypatch):
         for ci, members in enumerate(self.choice_members):
             assert self.choice_true[ci] == sum(a[i] == _TRUE for i in members)
             assert self.choice_false[ci] == sum(a[i] == _FALSE for i in members)
-        for gi, members in enumerate(self.nogood_members):
-            assert self.nogood_true[gi] == sum(a[i] == _TRUE for i in members)
-            assert self.nogood_false[gi] == sum(a[i] == _FALSE for i in members)
+        assert len(self.trail) == mark
+        assert len(set(self.trail)) == len(self.trail)
+        assert set(self.trail) == {i for i, v in enumerate(a) if v != _UNDEC}
 
     monkeypatch.setattr(_Engine, "_undo_to", checked_undo)
     for seed in (1807, 1995):
         g = ground_program(random_program(random.Random(seed)))
-        assert enumerate_models(g, limit=None).exhausted
+        result = enumerate_models(g, limit=None)
+        assert result.exhausted
+        assert {m.atoms for m in result.models} == oracle_models(g)
     assert undos > 0
+
+
+# SHA-256 of `stats.decisions` and `render_models` for every corpus program
+# (limit=2) and for random_program seeds 0-2999 (all models).  The oracle
+# tests compare model sets; this also pins model order and the branching
+# count, so a solver change that moves either shows up here.
+SOLVER_OUTPUT_SHA256 = "a60d509e02f8f80442cc0d0add34081fab5cfe6f6e013362c1eaccd8dfffc8d0"
+
+
+def test_solver_output_is_pinned(corpus):
+    digest = hashlib.sha256()
+
+    def add(label, g, limit):
+        result = enumerate_models(g, limit=limit)
+        digest.update(f"{label} decisions={result.stats.decisions}\n".encode())
+        digest.update(render_models(result).encode())
+
+    for name in sorted(corpus):
+        add(name, ground_program(parse_program(corpus[name])), 2)
+    for seed in range(3000):
+        add(f"seed {seed}", ground_program(random_program(random.Random(seed))), None)
+    assert digest.hexdigest() == SOLVER_OUTPUT_SHA256
 
 
 # ---------------------------------------------------------------------------
