@@ -304,6 +304,15 @@ class GatewayConfig:
             raise ValueError(f"max_in_flight must be at least 1, not {self.max_in_flight}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be at least 0, not {self.max_retries}")
+        if self.requests_per_minute is not None and self.requests_per_minute < 0:
+            raise ValueError(
+                "requests_per_minute must be at least 0 (0 means no limit), "
+                f"not {self.requests_per_minute}"
+            )
+        if self.timeout_s <= 0:
+            raise ValueError(f"timeout_s must be greater than 0, not {self.timeout_s}")
+        if self.backoff_base_s < 0:
+            raise ValueError(f"backoff_base_s must be at least 0, not {self.backoff_base_s}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GatewayConfig":

@@ -34,14 +34,31 @@ pushed comparisons, so each evaluation error is raised where a literal-by-
 literal join would raise it.  An atom argument that is not ground when its
 step is reached raises there, not when the rule is compiled.
 
+A plan runs as a chain of closures, one per atom step and comparison filter,
+ending in a callback per instance.  Every filter, probe, pushed key side,
+choice head and counted test-rule head is compiled once, when its plan is
+built, into a closure of the binding.  A
+statically error-free rule gets closures of plain Python operators with no
+type checks: the column types already prove every check would pass, and
+``==``/``!=`` are exact because both sides have one type and tuple shape.
+``/`` and ``\\`` still go through `_trunc_div` and `_remainder`, which
+truncate toward zero.  Any other rule gets checked closures around
+:func:`evaluate_term` and :func:`evaluate_comparison`, so each
+:class:`GroundingError` is raised at the same instance, with the same text
+and binding, as a literal-by-literal join would raise it.  Those evaluators
+stay because they are the only correct path for such rules, and because the
+brute-force oracle in ``tests/oracles.py`` grounds with them.
+
 Grounding is deterministic: identical input produces an identical
 :meth:`GroundProgram.dump`.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .syntax import (
     Abs,
@@ -236,6 +253,94 @@ def evaluate_comparison(comp: Comparison, binding: Binding) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Compiled terms
+# ---------------------------------------------------------------------------
+
+# Closure factories: given the closures of the operands, one closure that
+# applies the operator natively.  Division and remainder still truncate.
+_ARITH = {
+    "+": lambda f, g: lambda b: f(b) + g(b),
+    "-": lambda f, g: lambda b: f(b) - g(b),
+    "*": lambda f, g: lambda b: f(b) * g(b),
+    "/": lambda f, g: lambda b: _trunc_div(f(b), g(b)),
+    "\\": lambda f, g: lambda b: _remainder(f(b), g(b)),
+}
+_COMPARE = {
+    "=": lambda f, g: lambda b: f(b) == g(b),
+    "!=": lambda f, g: lambda b: f(b) != g(b),
+    "<": lambda f, g: lambda b: f(b) < g(b),
+    ">": lambda f, g: lambda b: f(b) > g(b),
+    "<=": lambda f, g: lambda b: f(b) <= g(b),
+    ">=": lambda f, g: lambda b: f(b) >= g(b),
+}
+
+
+def _native_term(term: Term):
+    """A closure computing `term` from a binding with plain Python operators.
+
+    Only for terms that `_term_type` types: every check `evaluate_term` makes
+    is then known to pass.
+    """
+    if next(term_variables(term), None) is None:
+        value = evaluate_term(term, {})
+        return lambda binding: value
+    if isinstance(term, Variable):
+        return operator.itemgetter(term.name)
+    if isinstance(term, Abs):
+        inner = _native_term(term.inner)
+        return lambda binding: abs(inner(binding))
+    if isinstance(term, TupleTerm):
+        return _native_tuple(term.elements)
+    return _ARITH[term.op](_native_term(term.left), _native_term(term.right))
+
+
+def _native_tuple(terms) -> Callable[[Binding], tuple]:
+    """A closure computing the tuple of the values of `terms`."""
+    names = [t.name for t in terms if isinstance(t, Variable)]
+    if len(names) == len(terms) >= 2:
+        return operator.itemgetter(*names)
+    parts = [_native_term(t) for t in terms]
+    if len(parts) == 1:
+        part = parts[0]
+        return lambda binding: (part(binding),)
+    return lambda binding: tuple([part(binding) for part in parts])
+
+
+def _native_test(comp: Comparison) -> Callable[[Binding], bool]:
+    """Only for comparisons that `_comparison_typed` accepts: both sides have
+    one type and tuple shape, so plain ``==`` and ``!=`` are exact."""
+    return _COMPARE[comp.op](_native_term(comp.lhs), _native_term(comp.rhs))
+
+
+def _checked_test(comp: Comparison, rule_index: int) -> Callable[[Binding], bool]:
+    def test(binding: Binding) -> bool:
+        try:
+            return evaluate_comparison(comp, binding)
+        except (TypeError, ZeroDivisionError) as exc:
+            raise GroundingError(rule_index, binding, str(exc)) from exc
+
+    return test
+
+
+def _checked_tuple(terms, rule_index: int, place: str) -> Callable[[Binding], tuple]:
+    """Evaluate `terms` in order, raising at the first error or tuple value."""
+
+    def values(binding: Binding) -> tuple:
+        out = []
+        for term in terms:
+            try:
+                value = evaluate_term(term, binding)
+            except (TypeError, ZeroDivisionError) as exc:
+                raise GroundingError(rule_index, binding, str(exc)) from exc
+            if isinstance(value, tuple):
+                raise GroundingError(rule_index, binding, f"tuple term in {place}")
+            out.append(value)
+        return tuple(out)
+
+    return values
+
+
+# ---------------------------------------------------------------------------
 # Extension tables and compiled join plans
 # ---------------------------------------------------------------------------
 
@@ -297,9 +402,9 @@ class _AtomStep:
     """Match one body atom: look its rows up by key, then bind its new variables.
 
     The key holds the values of the argument positions bound before the step,
-    then one value per pushed ``=`` comparison.  `probe` evaluates the key
-    under the current binding; `row_sides` compute the same key parts from a
-    row when the index is built on first use.
+    then one value per pushed ``=`` comparison.  `probe` holds the terms that
+    compute the key from the current binding; `row_sides` compute the pushed
+    key parts from a row when the index is built on first use.
     """
 
     def __init__(self, atom: Atom, extension: _Extension, bound: set[str]):
@@ -342,15 +447,56 @@ class _AtomStep:
     def rows(self, key: tuple) -> list[tuple[GroundValue, ...]]:
         if self.index is None:
             self.index = {}
+            sides = _native_tuple(self.row_sides) if self.row_sides else None
             for row in self.extension.rows:
                 if any(row[a] != row[b] for a, b in self.repeats):
                     continue
                 values = tuple(row[p] for p in self.positions)
-                if self.row_sides:
-                    names = {name: row[p] for name, p in self.binders.items()}
-                    values += tuple(evaluate_term(t, names) for t in self.row_sides)
+                if sides is not None:
+                    values += sides({name: row[p] for name, p in self.binders.items()})
                 self.index.setdefault(values, []).append(row)
         return self.index.get(key, [])
+
+    def compile(self, rule_index: int, error_free: bool, then, chosen: list, tick):
+        """A closure that binds each matching row in turn and calls `then`."""
+        if error_free:
+            probe = _native_tuple(self.probe)
+        else:
+            values = _checked_tuple(self.probe, rule_index, "an atom argument")
+            not_ground = self.not_ground
+            message = f"argument of {self.predicate} is not ground when matched"
+
+            def probe(binding: Binding) -> tuple:
+                key = values(binding)
+                if not_ground:
+                    raise GroundingError(rule_index, binding, message)
+                return key
+
+        rows, binders, atoms = self.rows, tuple(self.binders.items()), self.extension.atoms
+
+        def run(binding: Binding) -> None:
+            for row in rows(probe(binding)):
+                tick()
+                for name, position in binders:
+                    binding[name] = row[position]
+                if atoms is None:
+                    then(binding)
+                else:
+                    chosen.append(atoms[row])
+                    then(binding)
+                    chosen.pop()
+            for name, _ in binders:
+                binding.pop(name, None)
+
+        return run
+
+
+def _filter(test, then):
+    def run(binding: Binding) -> None:
+        if test(binding):
+            then(binding)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +574,9 @@ class _Grounder:
     def _error_free(self, atoms, comparisons, head: Atom | None = None) -> bool:
         """True if no evaluation in the rule can raise, given the column types.
 
-        Only such a rule may have its comparisons reordered into keys: for any
-        other rule, skipping an instance could skip the error it raises.
+        Only such a rule may have its comparisons reordered into keys, or its
+        terms evaluated without checks: for any other rule, skipping an
+        instance could skip the error it raises.
         """
         types: dict[str, type | None] = {}
         bound: set[str] = set()
@@ -448,15 +595,22 @@ class _Grounder:
                 return False
         return all(_comparison_typed(comp, types) for comp in comparisons)
 
-    def _plan(self, literals, rule_index: int, keyed: bool, pushed=(), bound=()) -> list:
-        """Compile literals into steps: atoms in the given order, each comparison
-        right after the atom that binds its last variable.
+    def _test(self, comp: Comparison, rule_index: int, error_free: bool):
+        return _native_test(comp) if error_free else _checked_test(comp, rule_index)
 
-        With `keyed`, an ``=`` comparison that one side computes from the atom's
-        row and the other from earlier bindings joins that atom's key instead.
-        `pushed` comparisons are placed the same way, or at the end.
+    def _plan(
+        self, literals, rule_index: int, error_free: bool, emit, chosen=None, pushed=(), bound=()
+    ):
+        """Compile literals into one closure that calls `emit(binding)` once per
+        instance: atoms in the given order, each comparison right after the
+        atom that binds its last variable.
+
+        In an `error_free` plan, an ``=`` comparison that one side computes
+        from the atom's row and the other from earlier bindings joins that
+        atom's key instead.  `pushed` comparisons are placed the same way, or
+        at the end.
         """
-        plan: list = []
+        steps: list = []
         bound = set(bound)
         pending = [(lit, False) for lit in literals if isinstance(lit, Comparison)]
         pending += [(comp, True) for comp in pushed]
@@ -464,65 +618,27 @@ class _Grounder:
             step = _AtomStep(atom, self._extension(atom.predicate), bound)
             before = set(bound)
             bound |= atom_variables(atom)
-            plan.append(step)
+            steps.append(step)
             still = []
             for comp, is_pushed in pending:
                 if not comparison_variables(comp) <= bound:
                     still.append((comp, is_pushed))
-                elif not (keyed and step.push(comp, before)):
-                    plan.append(comp)
+                elif not (error_free and step.push(comp, before)):
+                    steps.append(self._test(comp, rule_index, error_free))
             pending = still
         # Left over are pushed comparisons and the bound ones of a body with no
         # atom to follow.  validate_safety guarantees comparison variables
         # occur in body atoms, so an unbound one is a genuine internal error.
         if any(not is_pushed and not comparison_variables(comp) <= bound for comp, is_pushed in pending):
             raise GroundingError(rule_index, {}, "comparison variables not bound by body atoms")
-        return plan + [comp for comp, _ in pending]
-
-    def _run(
-        self, plan: list, step: int, binding: Binding, chosen: list[GAtom], rule_index: int, emit
-    ) -> None:
-        """Depth-first join over the plan; calls `emit` once per instance."""
-        if step == len(plan):
-            emit()
-            return
-        current = plan[step]
-        if isinstance(current, Comparison):
-            if self._holds(current, binding, rule_index):
-                self._run(plan, step + 1, binding, chosen, rule_index, emit)
-            return
-        key: list = []
-        for i, term in enumerate(current.probe):
-            try:
-                value = evaluate_term(term, binding)
-            except (TypeError, ZeroDivisionError) as exc:
-                raise GroundingError(rule_index, binding, str(exc)) from exc
-            if isinstance(value, tuple) and i < len(current.positions):
-                raise GroundingError(rule_index, binding, "tuple term in an atom argument")
-            key.append(value)
-        if current.not_ground:
-            raise GroundingError(
-                rule_index, binding, f"argument of {current.predicate} is not ground when matched"
-            )
-        atoms = current.extension.atoms
-        for row in current.rows(tuple(key)):
-            self._check_deadline()
-            for name, position in current.binders.items():
-                binding[name] = row[position]
-            if atoms is not None:
-                chosen.append(atoms[row])
-            self._run(plan, step + 1, binding, chosen, rule_index, emit)
-            if atoms is not None:
-                chosen.pop()
-        for name in current.binders:
-            binding.pop(name, None)
-
-    @staticmethod
-    def _holds(comp: Comparison, binding: Binding, rule_index: int) -> bool:
-        try:
-            return evaluate_comparison(comp, binding)
-        except (TypeError, ZeroDivisionError) as exc:
-            raise GroundingError(rule_index, binding, str(exc)) from exc
+        steps += [self._test(comp, rule_index, error_free) for comp, _ in pending]
+        run = emit
+        for step in reversed(steps):
+            if isinstance(step, _AtomStep):
+                run = step.compile(rule_index, error_free, run, chosen, self._check_deadline)
+            else:
+                run = _filter(step, run)
+        return run
 
     # -- choice rules
 
@@ -533,46 +649,39 @@ class _Grounder:
                 continue
             body_atoms = [lit for lit in rule.body if isinstance(lit, Atom)]
             comparisons = [lit for lit in rule.body if isinstance(lit, Comparison)]
-            keyed = self._error_free(body_atoms + list(rule.conditions), comparisons, rule.head)
-            plan = self._plan(rule.body, index, keyed)
+            error_free = self._error_free(
+                body_atoms + list(rule.conditions), comparisons, rule.head
+            )
             body_bindings: list[Binding] = []
-            binding: Binding = {}
-            self._run(plan, 0, binding, [], index, lambda: body_bindings.append(dict(binding)))
+            self._plan(rule.body, index, error_free, lambda b: body_bindings.append(dict(b)))({})
             body_bindings.sort(key=lambda b: sorted((k, _ground_key(v)) for k, v in b.items()))
+
+            if error_free:
+                head = _native_tuple(rule.head.args)
+            else:
+                head = _checked_tuple(rule.head.args, index, "a choice head")
+            predicate = rule.head.predicate
+            seen: set[GAtom] = set()
             body_vars = set().union(*(atom_variables(a) for a in body_atoms))
-            conditions = self._plan(rule.conditions, index, keyed, bound=body_vars)
+            conditions = self._plan(
+                rule.conditions,
+                index,
+                error_free,
+                lambda b: seen.add(GAtom(predicate, head(b))),
+                bound=body_vars,
+            )
             for body_binding in body_bindings:
-                candidates = self._choice_candidates(rule, conditions, body_binding, index)
+                seen.clear()
+                conditions(dict(body_binding))
                 choices.append(
                     GroundChoice(
                         index,
                         tuple(sorted(body_binding.items())),
-                        tuple(candidates),
+                        tuple(sorted(seen, key=atom_sort_key)),
                         rule.k,
                     )
                 )
         return choices
-
-    def _choice_candidates(
-        self, rule: ChoiceRule, plan: list, body_binding: Binding, rule_index: int
-    ) -> list[GAtom]:
-        binding = dict(body_binding)
-        seen: set[GAtom] = set()
-
-        def emit() -> None:
-            args: list[GroundValue] = []
-            for term in rule.head.args:
-                try:
-                    value = evaluate_term(term, binding)
-                except (TypeError, ZeroDivisionError) as exc:
-                    raise GroundingError(rule_index, binding, str(exc)) from exc
-                if isinstance(value, tuple):
-                    raise GroundingError(rule_index, binding, "tuple term in a choice head")
-                args.append(value)
-            seen.add(GAtom(rule.head.predicate, tuple(args)))
-
-        self._run(plan, 0, binding, [], rule_index, emit)
-        return sorted(seen, key=atom_sort_key)
 
     # -- test rules
 
@@ -581,42 +690,43 @@ class _Grounder:
         for index, rule in enumerate(self.program.rules):
             if isinstance(rule, TestRule):
                 self._ground_test(rule, index, nogoods)
-        return [
-            Nogood(atoms)
-            for atoms in sorted(
-                nogoods, key=lambda s: (len(s), sorted(atom_sort_key(a) for a in s))
-            )
-        ]
+        # atom_sort_key is injective, so ranks order nogoods as the keys would.
+        rank = {a: i for i, a in enumerate(sorted(set().union(*nogoods), key=atom_sort_key))}
+        ordered = sorted(nogoods, key=lambda s: (len(s), sorted(rank[a] for a in s)))
+        return [Nogood(atoms) for atoms in ordered]
 
     def _ground_test(self, rule: TestRule, index: int, nogoods: set[frozenset[GAtom]]) -> None:
         atoms = [lit for lit in rule.body if isinstance(lit, Atom)]
         comparisons = [lit for lit in rule.body if isinstance(lit, Comparison)]
-        keyed = self._error_free(atoms, comparisons + list(rule.heads))
+        error_free = self._error_free(atoms, comparisons + list(rule.heads))
         chosen: list[GAtom] = []
-        binding: Binding = {}
 
-        def violated() -> None:
+        def violated(binding: Binding) -> None:
             nogoods.add(frozenset(chosen))
 
-        def counted() -> None:
-            true_heads = sum(self._holds(comp, binding, index) for comp in rule.heads)
-            satisfied = true_heads >= 1 if rule.k is None else true_heads == rule.k
-            if not satisfied:
-                nogoods.add(frozenset(chosen))
-
-        emit = violated
-        if keyed and rule.k == 0:
+        if error_free and rule.k == 0:
             # Violated when some head holds: one plan per head.
-            plans = [self._plan(rule.body, index, True, pushed=(head,)) for head in rule.heads]
-        elif keyed and rule.k is None:
+            plans = [
+                self._plan(rule.body, index, True, violated, chosen, pushed=(head,))
+                for head in rule.heads
+            ]
+        elif error_free and rule.k is None:
             # Violated when every head fails.
             negated = tuple(Comparison(c.lhs, _NEGATED[c.op], c.rhs) for c in rule.heads)
-            plans = [self._plan(rule.body, index, True, pushed=negated)]
+            plans = [self._plan(rule.body, index, True, violated, chosen, pushed=negated)]
         else:
-            plans = [self._plan(rule.body, index, keyed)]
-            emit = counted
+            heads = [self._test(comp, index, error_free) for comp in rule.heads]
+
+            def counted(binding: Binding) -> None:
+                true_heads = sum([test(binding) for test in heads])
+                satisfied = true_heads >= 1 if rule.k is None else true_heads == rule.k
+                if not satisfied:
+                    nogoods.add(frozenset(chosen))
+
+            plans = [self._plan(rule.body, index, error_free, counted, chosen)]
         for plan in plans:
-            self._run(plan, 0, binding, chosen, index, emit)
+            plan({})
+
 
 def ground_program(program: Program, deadline: float | None = None) -> GroundProgram:
     """Ground a validated program.

@@ -363,3 +363,139 @@ def random_program(rng):
         rules.append(TestRule(heads, k, tuple(body)))
 
     return Program(tuple(rules))
+
+
+# ---------------------------------------------------------------------------
+# Seeded ill-typed programs for pinning the grounder's error behaviour
+# ---------------------------------------------------------------------------
+
+ILL_VALUES = [-3, -2, -1, 0, 1, 2, 3, "a", "b"]
+
+
+def ill_typed_program(rng):
+    """A small program that is often ill-typed, driven by `rng`.
+
+    Unlike `random_program`, nothing keeps it well typed: columns may mix
+    integers and strings, divisors may be variables or constants that are
+    0, atoms repeat variables, and atom arguments may be tuples or read a
+    variable that only a later atom binds.  Grounding one either returns a
+    program or raises GroundingError; what it does, and where the error is
+    raised, is what the grounder must keep.
+    """
+    counter = itertools.count()
+    rules = []
+    domains = []  # (name, arity)
+
+    def fresh():
+        return f"V{next(counter)}"
+
+    def value(kind):
+        if kind == "int":
+            return rng.randint(-3, 3)
+        if kind == "str":
+            return rng.choice(["a", "b"])
+        return rng.choice(ILL_VALUES)
+
+    kind_pool = ["int"] if rng.random() < 0.4 else ["int", "int", "str", "mixed"]
+    for i in range(rng.randint(1, 3)):
+        arity = rng.randint(1, 2)
+        kinds = [rng.choice(kind_pool) for _ in range(arity)]
+        rows = sorted({tuple(value(k) for k in kinds) for _ in range(rng.randint(1, 4))}, key=repr)
+        for row in rows:
+            rules.append(Fact(f"d{i}", tuple((_const(v),) for v in row)))
+        domains.append((f"d{i}", arity))
+
+    def term(names, depth=0):
+        r = rng.random()
+        if not names or r < 0.2:
+            return _const(rng.choice(ILL_VALUES) if r < 0.05 else rng.randint(-3, 3))
+        if depth >= 2 or r < 0.7:
+            return Variable(rng.choice(names))
+        if r < 0.92:
+            return Arith(rng.choice("+-*/\\"), term(names, depth + 1), term(names, depth + 1))
+        return Abs(term(names, depth + 1))
+
+    def comparison(names):
+        if rng.random() < 0.15:
+            lhs = TupleTerm((term(names), term(names)))
+            width = rng.choice([2, 2, 2, 3])
+            rhs = TupleTerm(tuple(term(names) for _ in range(width)))
+            if rng.random() < 0.2:
+                rhs = term(names)
+            return Comparison(lhs, rng.choice(["=", "!=", "<"]), rhs)
+        return Comparison(term(names), rng.choice(INT_OPS), term(names))
+
+    def body_atoms(predicates, count, bound, wild):
+        """Atoms over `predicates`; returns them and the names they bind.
+
+        An argument is a fresh variable, or with probability `wild` a
+        repeated variable, a constant, arithmetic, a tuple or a term over a
+        variable that only a later atom binds.
+        """
+        atoms, names, owed = [], list(bound), []
+        for _ in range(count):
+            pred, arity = rng.choice(predicates)
+            before, args = list(names), []
+            for _ in range(arity):
+                r = rng.random()
+                if r >= wild or not names:
+                    name = fresh()
+                    names.append(name)
+                    args.append(Variable(name))
+                    continue
+                r /= wild
+                if r < 0.45:
+                    args.append(Variable(rng.choice(names)))  # repeated variable
+                elif r < 0.6:
+                    args.append(_const(rng.choice(ILL_VALUES)))
+                elif r < 0.8:
+                    args.append(Arith(rng.choice("+-/"), term(before, 1), term(before, 1)))
+                elif r < 0.9:
+                    later = fresh()  # bound only by an atom after this one
+                    owed.append(later)
+                    args.append(Arith("+", Variable(later), IntConst(1)))
+                else:
+                    args.append(TupleTerm((term(before, 1), term(before, 1))))
+            atoms.append(Atom(pred, tuple(args)))
+        for name in owed:
+            pred, arity = rng.choice(domains)
+            args = [Variable(name)] + [Variable(fresh()) for _ in range(arity - 1)]
+            atoms.append(Atom(pred, tuple(args)))
+            names.append(name)
+        return atoms, names
+
+    chosen = []  # (name, arity)
+    for j in range(rng.randint(1, 2)):
+        body, body_names = [], []
+        if rng.random() < 0.4:
+            body, body_names = body_atoms(domains, 1, [], 0.3)
+            if rng.random() < 0.5:
+                body.append(comparison(body_names))
+        conditions, names = body_atoms(domains, rng.randint(1, 2), body_names, 0.2)
+        arity = rng.randint(1, 2)
+        head_args = []
+        for _ in range(arity):
+            r = rng.random()
+            if r < 0.7:
+                head_args.append(Variable(rng.choice(names)))
+            elif r < 0.97:
+                head_args.append(term(names, 1))
+            else:
+                head_args.append(TupleTerm((term(names, 1), term(names, 1))))
+        k = rng.choice([1, 1, 2])
+        rules.append(ChoiceRule(Atom(f"c{j}", tuple(head_args)), tuple(conditions), k, tuple(body)))
+        chosen.append((f"c{j}", arity))
+
+    for _ in range(rng.randint(1, 3)):
+        atoms, names = body_atoms(chosen, rng.randint(1, 2), [], 0.35)
+        if rng.random() < 0.3:
+            more, names = body_atoms(domains, 1, names, 0.35)
+            atoms += more
+        body = list(atoms)
+        for _ in range(rng.randint(0, 2)):
+            body.insert(rng.randint(0, len(body)), comparison(names))
+        heads = tuple(comparison(names) for _ in range(rng.randint(1, 2)))
+        k = rng.choice([None, *range(len(heads) + 1)])
+        rules.append(TestRule(heads, k, tuple(body)))
+
+    return Program(tuple(rules))

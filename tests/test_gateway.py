@@ -472,12 +472,30 @@ def test_config_from_file_rejects_unknown_keys(tmp_path):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"api_style": "Chat"}, {"max_in_flight": 0}, {"max_retries": -1}],
-    ids=["api_style", "max_in_flight", "max_retries"],
+    [
+        {"api_style": "Chat"},
+        {"max_in_flight": 0},
+        {"max_retries": -1},
+        {"requests_per_minute": -1},
+        {"timeout_s": 0},
+        {"timeout_s": -1.5},
+        {"backoff_base_s": -1},
+    ],
+    ids=[
+        "api_style",
+        "max_in_flight",
+        "max_retries",
+        "requests_per_minute",
+        "timeout_s_zero",
+        "timeout_s_negative",
+        "backoff_base_s",
+    ],
 )
 def test_config_rejects_bad_values(tmp_path, bad):
     # "Chat" would post to /completions, a zero semaphore would block every
-    # call forever, and -1 retries would skip the request loop entirely.
+    # call forever, -1 retries would skip the request loop entirely, a
+    # negative rate budget would never admit a request, a zero timeout fails
+    # every request and a negative backoff base makes a negative sleep.
     with pytest.raises(ValueError, match=next(iter(bad))):
         GatewayConfig(**bad)
     path = tmp_path / "gw.json"

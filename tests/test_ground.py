@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import time
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR
-from oracles import oracle_ground
+from oracles import ill_typed_program, oracle_ground
 
 from puzzle2asp.ground import (
     GAtom,
@@ -143,6 +144,26 @@ def test_furniture_ground_shape(corpus):
 def test_division_truncates_toward_zero(a, b, quotient, remainder):
     assert evaluate_term(Arith("/", IntConst(a), IntConst(b)), {}) == quotient
     assert evaluate_term(Arith("\\", IntConst(a), IntConst(b)), {}) == remainder
+
+
+# Each rule is statically error-free, so it is grounded through compiled terms;
+# every one tells truncating division and sign-of-dividend remainder apart
+# from Python's flooring // and %.
+NEGATIVE_DIVISION_DOMAIN = "p(-7;-6;-1;1;6;7).\nq(-3;-1;1).\n{c(X): p(X)}=2.\n"
+NEGATIVE_DIVISION_RULES = {
+    "negated-head": "X/2=-3 :- c(X).",
+    "two-heads": "X\\2=-1; X>0 :- c(X).",
+    "probe": "{X/2=Y}=0 :- c(X), q(Y).",
+    "row-side": "{Y/(-2)=X\\2}=0 :- c(X), q(Y).",
+    "counted-heads": "{X/2=-3; X\\2=-1}=1 :- c(X).",
+    "filter": "X>0 :- c(X), X\\2<0, X/2!=-3.",
+    "choice-head": "{h(X/2, X\\2): p(X)}=1.\nA/2=B\\2 :- h(A, B).",
+}
+
+
+@pytest.mark.parametrize("rule", NEGATIVE_DIVISION_RULES.values(), ids=NEGATIVE_DIVISION_RULES)
+def test_negative_division_through_a_compiled_rule(rule):
+    assert_matches_oracle(NEGATIVE_DIVISION_DOMAIN + rule)
 
 
 @given(st.integers(-200, 200), st.integers(-20, 20).filter(lambda b: b != 0))
@@ -318,3 +339,20 @@ def test_division_by_a_variable_that_can_be_zero():
         ground_program(parse_program(text))
     assert info.value.rule_index == 3
     assert "division by zero" in info.value.message
+
+
+# SHA-256 over, for each seed, the dump of the grounded ill-typed program or
+# the text of the GroundingError it raises.
+ILL_TYPED_SEEDS = range(3000)
+ILL_TYPED_SHA256 = "d68e036597796e71eddcd803231b64870bcc57c497243cfb715db9f87a997ad4"
+
+
+def test_ill_typed_programs_are_pinned():
+    digest = hashlib.sha256()
+    for seed in ILL_TYPED_SEEDS:
+        try:
+            out = ground_program(ill_typed_program(random.Random(seed))).dump()
+        except GroundingError as exc:
+            out = f"GroundingError: {exc}\n"
+        digest.update(f"{seed}\n{out}".encode())
+    assert digest.hexdigest() == ILL_TYPED_SHA256
