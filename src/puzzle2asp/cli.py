@@ -120,6 +120,12 @@ def _cmd_pipeline(args) -> int:
     given = None
     if args.constants:
         raw = _load_script(args.constants)
+        if not isinstance(raw, dict) or not all(
+            isinstance(values, list) and values for values in raw.values()
+        ):
+            raise ValueError(
+                "--constants must be a JSON object mapping each category to a non-empty list"
+            )
         given = tuple((name, tuple(str(v) for v in values)) for name, values in raw.items())
     responses = _load_script(args.script)
     if responses is not None and not isinstance(responses, list):

@@ -2,12 +2,13 @@
 
 Because the fragment has no recursion and every test-rule head comparison is
 ground once the body is bound, every violated test-rule instance reduces to a
-plain nogood over the chosen atoms in its body.  The solver then only ever
-deals with three ground objects:
+plain nogood over the chosen atoms in its body.  Every candidate atom appears
+once in ``atoms``, in :func:`atom_sort_key` order, and its id is its position
+there.  The solver then only ever deals with three ground objects:
 
 * ``facts`` — ground atoms that hold in every model,
-* ``choices`` — pick exactly k of the listed candidate atoms,
-* ``nogoods`` — sets of candidate atoms that must not be jointly true.
+* ``choices`` — pick exactly k of the listed candidate ids,
+* ``nogoods`` — ids of candidate atoms that must not be jointly true.
 
 Choice bodies, choice conditions and test bodies are each compiled once into
 a join plan: the atoms in written order, each comparison right after the atom
@@ -133,35 +134,37 @@ class GroundChoice:
 
     rule_index: int
     binding: tuple[tuple[str, GroundValue], ...]
-    candidates: tuple[GAtom, ...]
+    candidates: tuple[int, ...]  # ascending ids into GroundProgram.atoms
     k: int
 
 
 @dataclass(frozen=True)
 class Nogood:
-    """Candidate atoms that must not all be true.
+    """Candidate atoms that must not all be true, as ascending ids.
 
     An empty atom set marks a constraint violated by facts alone: the
     program has no stable models at all.
     """
 
-    atoms: frozenset[GAtom]
+    atoms: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class GroundProgram:
     facts: frozenset[GAtom]
+    atoms: tuple[GAtom, ...]  # every candidate once, in atom_sort_key order
     choices: tuple[GroundChoice, ...]
     nogoods: tuple[Nogood, ...]
 
     def dump(self) -> str:
         """Canonical text form: FACT / CHOICE / NOGOOD lines."""
         lines = [f"FACT {a.render()}" for a in sorted(self.facts, key=atom_sort_key)]
+        names = [a.render() for a in self.atoms]
         for choice in self.choices:
-            inner = ", ".join(a.render() for a in choice.candidates)
+            inner = ", ".join(names[i] for i in choice.candidates)
             lines.append(f"CHOICE k={choice.k} [{inner}]")
         for nogood in self.nogoods:
-            inner = ", ".join(a.render() for a in sorted(nogood.atoms, key=atom_sort_key))
+            inner = ", ".join(names[i] for i in nogood.atoms)
             lines.append(f"NOGOOD [{inner}]")
         return "".join(line + "\n" for line in lines)
 
@@ -346,7 +349,7 @@ def _checked_tuple(terms, rule_index: int, place: str) -> Callable[[Binding], tu
 
 
 class _Extension:
-    """Ground tuples of one predicate; `atoms` maps a chosen row to its GAtom."""
+    """Ground tuples of one predicate; `atoms` maps a chosen row to its id."""
 
     def __init__(self, rows: list[tuple[GroundValue, ...]], atoms: dict | None = None):
         self.rows = rows
@@ -524,20 +527,24 @@ class _Grounder:
 
         self.domain: dict[str, _Extension] = {}
         facts = self._expand_facts()
-        choices = self._ground_choices()
+        picks = self._ground_choices()
+        atoms = tuple(sorted(set().union(*(seen for _, _, seen, _ in picks)), key=atom_sort_key))
+        ids = {atom: aid for aid, atom in enumerate(atoms)}
+        choices = tuple(
+            GroundChoice(index, binding, tuple(sorted(ids[a] for a in seen)), k)
+            for index, binding, seen, k in picks
+        )
 
-        chosen_atoms: dict[str, dict[tuple[GroundValue, ...], GAtom]] = {}
-        for choice in choices:
-            for atom in choice.candidates:
-                chosen_atoms.setdefault(atom.predicate, {})[atom.args] = atom
         # A chosen predicate whose choice rules grounded to nothing still needs
         # an (empty) extension so test-rule bodies over it match zero times.
+        # Arities are fixed per predicate, so table order is _row_key order.
         self.chosen = {pred: _Extension([], {}) for pred in chosen_predicates(self.program)}
-        for pred, atoms in chosen_atoms.items():
-            self.chosen[pred] = _Extension(sorted(atoms, key=_row_key), atoms)
+        for aid, atom in enumerate(atoms):
+            extension = self.chosen[atom.predicate]
+            extension.rows.append(atom.args)
+            extension.atoms[atom.args] = aid
 
-        nogoods = self._ground_tests()
-        return GroundProgram(frozenset(facts), tuple(choices), tuple(nogoods))
+        return GroundProgram(frozenset(facts), atoms, choices, self._ground_tests())
 
     # -- facts
 
@@ -642,8 +649,9 @@ class _Grounder:
 
     # -- choice rules
 
-    def _ground_choices(self) -> list[GroundChoice]:
-        choices: list[GroundChoice] = []
+    def _ground_choices(self) -> list[tuple]:
+        """(rule index, binding, candidate set, k) per choice, in program order."""
+        choices: list[tuple] = []
         for index, rule in enumerate(self.program.rules):
             if not isinstance(rule, ChoiceRule):
                 continue
@@ -661,7 +669,6 @@ class _Grounder:
             else:
                 head = _checked_tuple(rule.head.args, index, "a choice head")
             predicate = rule.head.predicate
-            seen: set[GAtom] = set()
             body_vars = set().union(*(atom_variables(a) for a in body_atoms))
             conditions = self._plan(
                 rule.conditions,
@@ -671,35 +678,26 @@ class _Grounder:
                 bound=body_vars,
             )
             for body_binding in body_bindings:
-                seen.clear()
+                seen: set[GAtom] = set()  # filled by the conditions callback
                 conditions(dict(body_binding))
-                choices.append(
-                    GroundChoice(
-                        index,
-                        tuple(sorted(body_binding.items())),
-                        tuple(sorted(seen, key=atom_sort_key)),
-                        rule.k,
-                    )
-                )
+                choices.append((index, tuple(sorted(body_binding.items())), seen, rule.k))
         return choices
 
     # -- test rules
 
-    def _ground_tests(self) -> list[Nogood]:
-        nogoods: set[frozenset[GAtom]] = set()
+    def _ground_tests(self) -> tuple[Nogood, ...]:
+        nogoods: set[frozenset[int]] = set()
         for index, rule in enumerate(self.program.rules):
             if isinstance(rule, TestRule):
                 self._ground_test(rule, index, nogoods)
-        # atom_sort_key is injective, so ranks order nogoods as the keys would.
-        rank = {a: i for i, a in enumerate(sorted(set().union(*nogoods), key=atom_sort_key))}
-        ordered = sorted(nogoods, key=lambda s: (len(s), sorted(rank[a] for a in s)))
-        return [Nogood(atoms) for atoms in ordered]
+        ordered = sorted((tuple(sorted(ids)) for ids in nogoods), key=lambda ids: (len(ids), ids))
+        return tuple(Nogood(ids) for ids in ordered)
 
-    def _ground_test(self, rule: TestRule, index: int, nogoods: set[frozenset[GAtom]]) -> None:
+    def _ground_test(self, rule: TestRule, index: int, nogoods: set[frozenset[int]]) -> None:
         atoms = [lit for lit in rule.body if isinstance(lit, Atom)]
         comparisons = [lit for lit in rule.body if isinstance(lit, Comparison)]
         error_free = self._error_free(atoms, comparisons + list(rule.heads))
-        chosen: list[GAtom] = []
+        chosen: list[int] = []
 
         def violated(binding: Binding) -> None:
             nogoods.add(frozenset(chosen))

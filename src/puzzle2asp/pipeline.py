@@ -471,7 +471,6 @@ class StageRecord:
     raw_response: str | None
     parse_error: str | None
     attempts: int
-    artifact: object | None = None
 
 
 @dataclass(frozen=True)
@@ -543,7 +542,7 @@ def _parse_rules(text: str) -> Program:
 
 def run_pipeline(
     story: str,
-    given_constants: RawConstants | CategorizedConstants | None = None,
+    given_constants: RawConstants | None = None,
     options: PipelineOptions | None = None,
     backend: Backend | None = None,
 ) -> PipelineTrace:
@@ -593,7 +592,6 @@ def run_pipeline(
                     first_parse_error = str(exc)
                 continue
             record.parse_error = None
-            record.artifact = artifact
             return artifact
         raise _StageFailed(PipelineOutcome(PipelineOutcome.STAGE_PARSE_FAILURE, stage))
 
@@ -602,11 +600,7 @@ def run_pipeline(
         raw_constants_text: str | None = None
         constants: CategorizedConstants | None = None
         if options.use_given_constants and given_constants is not None:
-            if isinstance(given_constants, CategorizedConstants):
-                raw_constants_text = given_constants.render()
-                constants = given_constants
-            else:
-                raw_constants_text = render_raw_constants(given_constants)
+            raw_constants_text = render_raw_constants(given_constants)
         else:
             prompt = build_prompt(Stage.CONSTANT_EXTRACTION, story=story)
             if options.enable_formatting:
@@ -616,7 +610,6 @@ def run_pipeline(
                 raw_constants_text = text
                 try:
                     constants = parse_constants(text)
-                    trace.records[-1].artifact = constants
                 except (FormatError, MappingError) as exc:
                     trace.records[-1].parse_error = str(exc)
             else:
@@ -626,9 +619,7 @@ def run_pipeline(
             prompt = build_prompt(Stage.CONSTANT_FORMATTING, constants=raw_constants_text)
             constants = call_stage(Stage.CONSTANT_FORMATTING, prompt, parse_constants)
         elif constants is None:
-            assert given_constants is not None and not isinstance(
-                given_constants, CategorizedConstants
-            )
+            assert given_constants is not None
             try:
                 constants = CategorizedConstants.from_raw(given_constants)
             except (FormatError, MappingError):

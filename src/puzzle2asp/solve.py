@@ -1,8 +1,9 @@
 """Stable-model enumeration for ground choice/nogood programs.
 
 The search is a deterministic depth-first walk over the ground choices in
-program order.  Within a choice, candidates are tried true-then-false in
-canonical atom order, which enumerates the size-k subsets lexicographically.
+program order.  Within a choice, candidates are tried true-then-false in the
+order of the grounder's atom ids (canonical atom order), which enumerates the
+size-k subsets lexicographically.
 
 Every assignment is pushed on a trail and updates the true/false counters of
 each choice the atom belongs to; counters are kept for choices only.
@@ -88,13 +89,11 @@ def check_model(g: GroundProgram, atoms: set[GAtom] | frozenset[GAtom]) -> Model
     """
     for fact in sorted(g.facts - set(atoms), key=atom_sort_key):
         return ModelCheck(False, f"missing fact {fact.render()}")
-    candidate_union: set[GAtom] = set()
-    for choice in g.choices:
-        candidate_union.update(choice.candidates)
-    for stray in sorted(set(atoms) - g.facts - candidate_union, key=atom_sort_key):
+    for stray in sorted(set(atoms) - g.facts - set(g.atoms), key=atom_sort_key):
         return ModelCheck(False, f"unknown atom {stray.render()}")
+    chosen = [a in atoms for a in g.atoms]
     for index, choice in enumerate(g.choices):
-        true_count = sum(1 for a in choice.candidates if a in atoms)
+        true_count = sum(chosen[i] for i in choice.candidates)
         if true_count != choice.k:
             return ModelCheck(
                 False,
@@ -102,8 +101,8 @@ def check_model(g: GroundProgram, atoms: set[GAtom] | frozenset[GAtom]) -> Model
                 f"{true_count} of its candidates, expected exactly {choice.k}",
             )
     for nogood in g.nogoods:
-        if nogood.atoms <= set(atoms):
-            inner = ", ".join(a.render() for a in sorted(nogood.atoms, key=atom_sort_key))
+        if all(chosen[i] for i in nogood.atoms):
+            inner = ", ".join(g.atoms[i].render() for i in nogood.atoms)
             return ModelCheck(False, f"nogood violated: [{inner}]")
     return ModelCheck(True)
 
@@ -121,37 +120,31 @@ class _Engine:
         self.budget = budget
         self.stats = SolveStats()
 
-        atom_set: set[GAtom] = set()
-        for choice in g.choices:
-            atom_set.update(choice.candidates)
-        self.atoms: list[GAtom] = sorted(atom_set, key=atom_sort_key)
-        self.index: dict[GAtom, int] = {a: i for i, a in enumerate(self.atoms)}
+        self.atoms = g.atoms
         n = len(self.atoms)
 
         self.assignment = [_UNDEC] * n
         self.trail: list[int] = []
 
         # choices: per-choice candidate ids, k, live true/false counters
-        self.choice_members: list[list[int]] = []
+        self.choice_members: list[tuple[int, ...]] = []
         self.choice_k: list[int] = []
         self.choice_true: list[int] = []
         self.choice_false: list[int] = []
         self.atom_choices: list[list[int]] = [[] for _ in range(n)]
         for ci, choice in enumerate(g.choices):
-            ids = [self.index[a] for a in choice.candidates]
-            self.choice_members.append(ids)
+            self.choice_members.append(choice.candidates)
             self.choice_k.append(choice.k)
             self.choice_true.append(0)
             self.choice_false.append(0)
-            for aid in ids:
+            for aid in choice.candidates:
                 self.atom_choices[aid].append(ci)
 
-        self.nogood_members: list[list[int]] = []
+        self.nogood_members: list[tuple[int, ...]] = []
         self.atom_nogoods: list[list[int]] = [[] for _ in range(n)]
         for gi, nogood in enumerate(g.nogoods):
-            ids = sorted(self.index[a] for a in nogood.atoms)
-            self.nogood_members.append(ids)
-            for aid in ids:
+            self.nogood_members.append(nogood.atoms)
+            for aid in nogood.atoms:
                 self.atom_nogoods[aid].append(gi)
 
         self.facts = g.facts

@@ -135,6 +135,30 @@ def oracle_ground(program):
     return facts, choices, nogoods
 
 
+def _ascending(seq) -> bool:
+    return all(a < b for a, b in zip(seq, seq[1:]))
+
+
+def decoded(g: GroundProgram):
+    """`g` as `(facts, choices, nogoods)` in `oracle_ground`'s shapes.
+
+    Candidate and nogood ids are mapped back to atoms through `g.atoms`.
+    Asserts the atom table invariants on the way: `g.atoms` is strictly
+    increasing under `atom_sort_key` and is exactly the union of the
+    candidates, and every candidate and nogood tuple is strictly ascending.
+    """
+    assert _ascending([atom_sort_key(a) for a in g.atoms])
+    assert {i for c in g.choices for i in c.candidates} == set(range(len(g.atoms)))
+    assert all(_ascending(c.candidates) for c in g.choices)
+    assert all(_ascending(n.atoms) for n in g.nogoods)
+    choices = {
+        (c.rule_index, c.binding, tuple(g.atoms[i] for i in c.candidates), c.k)
+        for c in g.choices
+    }
+    nogoods = {frozenset(g.atoms[i] for i in n.atoms) for n in g.nogoods}
+    return set(g.facts), choices, nogoods
+
+
 def oracle_models(g: GroundProgram) -> set[frozenset[GAtom]]:
     """All stable models by exhaustive search; feasible only for tiny programs.
 
@@ -143,7 +167,9 @@ def oracle_models(g: GroundProgram) -> set[frozenset[GAtom]]:
     and nogood.  Both give the same models; choices that share their
     candidates make the per-choice product far larger than the subsets.
     """
-    union = sorted({a for c in g.choices for a in c.candidates}, key=atom_sort_key)
+    _, choice_set, nogoods = decoded(g)
+    choices = [(candidates, k) for _, _, candidates, k in choice_set]
+    union = sorted({a for candidates, _ in choices for a in candidates}, key=atom_sort_key)
     if 2 ** len(union) < search_space(g):
         selections = itertools.chain.from_iterable(
             itertools.combinations(union, r) for r in range(len(union) + 1)
@@ -152,7 +178,7 @@ def oracle_models(g: GroundProgram) -> set[frozenset[GAtom]]:
         selections = (
             itertools.chain.from_iterable(combo)
             for combo in itertools.product(
-                *(itertools.combinations(c.candidates, c.k) for c in g.choices)
+                *(itertools.combinations(candidates, k) for candidates, k in choices)
             )
         )
     models: set[frozenset[GAtom]] = set()
@@ -162,10 +188,10 @@ def oracle_models(g: GroundProgram) -> set[frozenset[GAtom]]:
         # Re-check every cardinality against the union: overlapping choices may
         # disagree with each other even though each selection was locally valid.
         if any(
-            sum(1 for a in c.candidates if a in atoms) != c.k for c in g.choices
+            sum(1 for a in candidates if a in atoms) != k for candidates, k in choices
         ):
             continue
-        if any(n.atoms <= atoms for n in g.nogoods):
+        if any(n <= atoms for n in nogoods):
             continue
         models.add(frozenset(atoms))
     return models

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from oracles import oracle_ground, oracle_models, random_program, search_space
+from oracles import decoded, oracle_ground, oracle_models, random_program, search_space
 from puzzle2asp.bench import OutcomeKind, evaluate_case, load_dataset, report
 from puzzle2asp.gateway import (
     Cassette,
@@ -262,12 +262,7 @@ def test_criterion_6_randomized_fragment_programs_agree_with_oracles():
             continue
         assert space <= 10**6  # the stated bound; the cap above is far stricter
 
-        facts, choices, nogoods = oracle_ground(program)
-        assert g.facts == frozenset(facts)
-        assert {
-            (c.rule_index, c.binding, c.candidates, c.k) for c in g.choices
-        } == choices
-        assert {n.atoms for n in g.nogoods} == nogoods
+        assert decoded(g) == oracle_ground(program)
 
         result = enumerate_models(g, limit=None, budget=30.0)
         assert result.exhausted

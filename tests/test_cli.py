@@ -144,6 +144,22 @@ def test_pipeline_with_given_constants(tmp_path, stories, scripts, capsys):
     assert 'price(24; 25; 26; 27).' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("content", ['["a"]', '{"price": 5}'])
+def test_pipeline_rejects_malformed_constants(furniture_files, tmp_path, capsys, content):
+    story, script = furniture_files
+    constants = tmp_path / "constants.json"
+    constants.write_text(content)
+    code = main(
+        [
+            "pipeline", str(story),
+            "--constants", str(constants),
+            "--backend", "scripted", "--script", str(script),
+        ]
+    )
+    assert code == 2
+    assert "error: --constants must be a JSON object" in capsys.readouterr().err
+
+
 def test_pipeline_live_rejects_bad_config(furniture_files, tmp_path, capsys):
     story, _ = furniture_files
     config = tmp_path / "gw.json"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR
-from oracles import ill_typed_program, oracle_ground
+from oracles import decoded, ill_typed_program, oracle_ground
 
 from puzzle2asp.ground import (
     GAtom,
@@ -32,11 +32,7 @@ from puzzle2asp.syntax import (
 
 def assert_matches_oracle(text: str):
     program = parse_program(text)
-    g = ground_program(program)
-    facts, choices, nogoods = oracle_ground(program)
-    assert g.facts == frozenset(facts)
-    assert {(c.rule_index, c.binding, c.candidates, c.k) for c in g.choices} == choices
-    assert {n.atoms for n in g.nogoods} == nogoods
+    assert decoded(ground_program(program)) == oracle_ground(program)
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +113,11 @@ def test_atom_free_body_matches_oracle(text):
 def test_atom_free_bodies_ground_as_expected():
     for violated in ("1=2 :- 1>0.", "{1=1}=0 :- 1=1."):
         g = ground_program(parse_program(violated))
-        assert [n.atoms for n in g.nogoods] == [frozenset()]
+        assert len(g.nogoods) == 1 and decoded(g)[2] == {frozenset()}
         assert enumerate_models(g, limit=None).models == []
     assert ground_program(parse_program("1=2 :- 1>2.")).dump() == ""
-    (choice,) = ground_program(parse_program("d(1;2).\n{p(X): d(X)}=1 :- 1<2.")).choices
-    assert choice.candidates == (GAtom("p", (1,)), GAtom("p", (2,)))
+    (choice,) = decoded(ground_program(parse_program("d(1;2).\n{p(X): d(X)}=1 :- 1<2.")))[1]
+    assert choice[2] == (GAtom("p", (1,)), GAtom("p", (2,)))
 
 
 def test_furniture_ground_shape(corpus):
@@ -222,8 +218,8 @@ def test_statically_violated_rule_yields_empty_nogood():
 
 def test_candidates_sort_integers_before_strings():
     g = ground_program(parse_program('v("a"; 1).\nd(1).\n{q(V): v(V)}=1 :- d(X).'))
-    (choice,) = g.choices
-    assert [a.render() for a in choice.candidates] == ["q(1)", 'q("a")']
+    (choice,) = decoded(g)[1]
+    assert [a.render() for a in choice[2]] == ["q(1)", 'q("a")']
 
 
 def test_dump_golden():
@@ -241,7 +237,8 @@ def test_dump_golden():
 def test_choice_body_variable_joins_into_conditions():
     # X is bound by the body, so each instantiation offers a single candidate.
     g = ground_program(parse_program("d(1;2).\n{p(X): d(X)}=1 :- d(X)."))
-    assert [c.candidates for c in g.choices] == [
+    decoded(g)  # the table invariants
+    assert [tuple(g.atoms[i] for i in c.candidates) for c in g.choices] == [
         (GAtom("p", (1,)),),
         (GAtom("p", (2,)),),
     ]
