@@ -460,7 +460,7 @@ class _AtomStep:
                 self.index.setdefault(values, []).append(row)
         return self.index.get(key, [])
 
-    def compile(self, rule_index: int, error_free: bool, then, chosen: list, tick):
+    def compile(self, rule_index: int, error_free: bool, then, chosen: list, check_deadline):
         """A closure that binds each matching row in turn and calls `then`."""
         if error_free:
             probe = _native_tuple(self.probe)
@@ -478,8 +478,8 @@ class _AtomStep:
         rows, binders, atoms = self.rows, tuple(self.binders.items()), self.extension.atoms
 
         def run(binding: Binding) -> None:
+            check_deadline()
             for row in rows(probe(binding)):
-                tick()
                 for name, position in binders:
                     binding[name] = row[position]
                 if atoms is None:
@@ -511,13 +511,10 @@ class _Grounder:
     def __init__(self, program: Program, deadline: float | None):
         self.program = program
         self.deadline = deadline
-        self._tick = 0
 
     def _check_deadline(self) -> None:
-        self._tick += 1
-        if self.deadline is not None and self._tick % 4096 == 0:
-            if time.monotonic() > self.deadline:
-                raise GroundTimeout("grounding exceeded the solve budget")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise GroundTimeout("grounding exceeded the solve budget")
 
     def run(self) -> GroundProgram:
         diagnostics = validate_safety(self.program)

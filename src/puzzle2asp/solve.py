@@ -8,10 +8,14 @@ size-k subsets lexicographically.
 Every assignment is pushed on a trail and updates the true/false counters of
 each choice the atom belongs to; counters are kept for choices only.
 Propagation then walks the trail from the first new atom and checks each
-choice of each atom it passes.  A nogood is checked from its members, and only
-when one of them becomes true: a false atom satisfies its nogoods, so it can
-neither complete nor shorten one.  Atoms forced by a check join the trail and
-are walked in turn, and there are three forcing rules:
+choice of each atom it passes.  Nogoods are checked only when one of their
+atoms becomes true: a false atom satisfies its nogoods, so it can neither
+complete nor shorten one.  A binary nogood {a, b} is kept as an implication
+list: b sits in ``conflicts[a]`` and a in ``conflicts[b]``, so a true atom
+walks its list and forces each undecided partner false.  Every other nogood
+(empty, unit, ternary or larger) is scanned from its members.  Almost every
+ground nogood is binary, so the scan path is rare.  Atoms forced by a check
+join the trail and are walked in turn, and there are three forcing rules:
 
 * a nogood with all but one atom true forces the remaining atom false;
 * a choice that already has k true candidates forces the rest false;
@@ -140,9 +144,17 @@ class _Engine:
             for aid in choice.candidates:
                 self.atom_choices[aid].append(ci)
 
+        # binary nogoods as implication lists; the rest by their members
+        self.conflicts: list[list[int]] = [[] for _ in range(n)]
         self.nogood_members: list[tuple[int, ...]] = []
         self.atom_nogoods: list[list[int]] = [[] for _ in range(n)]
-        for gi, nogood in enumerate(g.nogoods):
+        for nogood in g.nogoods:
+            if len(nogood.atoms) == 2:
+                a, b = nogood.atoms
+                self.conflicts[a].append(b)
+                self.conflicts[b].append(a)
+                continue
+            gi = len(self.nogood_members)
             self.nogood_members.append(nogood.atoms)
             for aid in nogood.atoms:
                 self.atom_nogoods[aid].append(gi)
@@ -177,7 +189,10 @@ class _Engine:
     # -- the constraint checks: the only places that see a conflict or force atoms
 
     def _nogood(self, gi: int) -> bool:
-        """Check nogood `gi`; force its last undecided atom false.  False on conflict."""
+        """Check nogood `gi` (not binary); force its last undecided atom false.
+
+        False on conflict.
+        """
         assignment = self.assignment
         undecided = None
         for aid in self.nogood_members[gi]:
@@ -211,12 +226,25 @@ class _Engine:
         return True
 
     def _propagate(self, head: int) -> bool:
-        """Check every constraint of every trail atom from `head` on."""
-        trail = self.trail
+        """Check every constraint of every trail atom from `head` on.
+
+        A true atom first walks its `conflicts` list: a true partner is a
+        conflict and an undecided one is forced false.  Its non-binary
+        nogoods are then scanned by `_nogood`, and the choices of every
+        atom, true or false, by `_choice`.
+        """
+        trail, assignment, conflicts = self.trail, self.assignment, self.conflicts
         while head < len(trail):
             aid = trail[head]
             head += 1
-            if self.assignment[aid] == _TRUE:
+            if assignment[aid] == _TRUE:
+                for other in conflicts[aid]:
+                    value = assignment[other]
+                    if value == _TRUE:
+                        return False
+                    if value == _UNDEC:
+                        self.stats.propagations += 1
+                        self._set(other, _FALSE)
                 for gi in self.atom_nogoods[aid]:
                     if not self._nogood(gi):
                         return False
@@ -231,6 +259,8 @@ class _Engine:
         return self._propagate(head)
 
     def _initial_propagate(self) -> bool:
+        # Binary nogoods need no pass here: `_propagate(0)` walks the
+        # `conflicts` list of every atom the choices made true.
         return (
             all(self._choice(ci) for ci in range(len(self.choice_members)))
             and all(self._nogood(gi) for gi in range(len(self.nogood_members)))

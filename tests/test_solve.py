@@ -133,6 +133,41 @@ def test_overlapping_choices_known_model_counts(text, count):
         assert check_model(g, model.atoms)
 
 
+# Random programs ground to no ternary nogood, so these hand-written ones put
+# ternary nogoods, which `_nogood` scans, on atoms that also sit in binary
+# implication lists.  Each comes with the nogood arities it grounds to: the
+# first forces atoms through ternary nogoods, the second adds a unit nogood,
+# and the third reaches ternary conflicts when a choice fills up.
+SHARED_NOGOOD_PROGRAMS = [
+    (
+        "n(1;2;3;4).\n"
+        "{p(X): n(X)}=2 :- n(1).\n"
+        "{q(X): n(X)}=2 :- n(1).\n"
+        "X!=Y :- p(X), q(Y).\n"
+        "X+Y+Z!=7 :- p(X), p(Y), q(Z), X<Y.\n",
+        {2, 3},
+    ),
+    (
+        "n(1;2;3).\n"
+        "{p(X): n(X)}=2 :- n(1).\n"
+        "{q(X): n(X)}=1 :- n(1).\n"
+        "{r(X): n(X)}=2 :- n(1).\n"
+        "X!=3 :- q(X).\n"
+        "X!=Y :- p(X), q(Y).\n"
+        "X+Y!=Z :- p(X), q(Y), r(Z).\n",
+        {1, 2, 3},
+    ),
+    (
+        "n(1;2;3).\n"
+        "{p(X): n(X)}=2 :- n(1).\n"
+        "{q(X): n(X)}=2 :- n(1).\n"
+        "X!=Y :- p(X), q(Y), X>2.\n"
+        "X+Y+Z!=6 :- p(X), q(Y), q(Z), Y<Z.\n",
+        {2, 3},
+    ),
+]
+
+
 def test_counters_match_assignment_after_every_undo(monkeypatch):
     # Seeds 1807 and 1995 overflow a choice while the overflowing atom still
     # belongs to later choices whose counters must move with it.  Nogoods keep
@@ -152,9 +187,13 @@ def test_counters_match_assignment_after_every_undo(monkeypatch):
         assert len(set(self.trail)) == len(self.trail)
         assert set(self.trail) == {i for i, v in enumerate(a) if v != _UNDEC}
 
+    programs = [ground_program(random_program(random.Random(seed))) for seed in (1807, 1995)]
+    for text, arities in SHARED_NOGOOD_PROGRAMS:
+        g = ground_program(parse_program(text))
+        assert {len(nogood.atoms) for nogood in g.nogoods} == arities
+        programs.append(g)
     monkeypatch.setattr(_Engine, "_undo_to", checked_undo)
-    for seed in (1807, 1995):
-        g = ground_program(random_program(random.Random(seed)))
+    for g in programs:
         result = enumerate_models(g, limit=None)
         assert result.exhausted
         assert {m.atoms for m in result.models} == oracle_models(g)
@@ -166,21 +205,28 @@ def test_counters_match_assignment_after_every_undo(monkeypatch):
 # tests compare model sets; this also pins model order and the branching
 # count, so a solver change that moves either shows up here.
 SOLVER_OUTPUT_SHA256 = "a60d509e02f8f80442cc0d0add34081fab5cfe6f6e013362c1eaccd8dfffc8d0"
+# The summed `stats.propagations` over the same runs, which the traced
+# `solve.propagations` benchmark metric reports.
+SOLVER_PROPAGATIONS = 48_688
 
 
 def test_solver_output_is_pinned(corpus):
     digest = hashlib.sha256()
+    propagations = 0
 
     def add(label, g, limit):
+        nonlocal propagations
         result = enumerate_models(g, limit=limit)
         digest.update(f"{label} decisions={result.stats.decisions}\n".encode())
         digest.update(render_models(result).encode())
+        propagations += result.stats.propagations
 
     for name in sorted(corpus):
         add(name, ground_program(parse_program(corpus[name])), 2)
     for seed in range(3000):
         add(f"seed {seed}", ground_program(random_program(random.Random(seed))), None)
     assert digest.hexdigest() == SOLVER_OUTPUT_SHA256
+    assert propagations == SOLVER_PROPAGATIONS
 
 
 # ---------------------------------------------------------------------------
