@@ -12,9 +12,12 @@ there.  The solver then only ever deals with three ground objects:
 
 Choice bodies, choice conditions and test bodies are each compiled once into
 a join plan: the atoms in written order, each comparison right after the atom
-that binds its last variable.  An atom step looks its rows up in one index
-keyed on every argument position bound before it, built on first use.  When
-a rule is statically error-free, its plan also pushes work into the keys:
+that binds its last variable.  An atom step looks its rows up in an index
+keyed on every argument position bound before it.  The index is built on
+first use and cached on the predicate's extension, so every step with the
+same signature (key positions, repeated variables, pushed key sides and the
+variables it binds) shares it, across head plans and across rules.  When a
+rule is statically error-free, its plan also pushes work into the keys:
 
 * an ``=`` comparison with one side computed only from the variables the atom
   binds and the other from earlier bindings, such as
@@ -25,6 +28,14 @@ a rule is statically error-free, its plan also pushes work into the keys:
   is one plan per head; nogoods form a set, so an instance found twice counts
   once.  For ``k=None`` (violated when every head fails) each negated head is
   pushed.  Any other ``k`` counts the true heads of every body instance.
+* a symmetric self-join is enumerated once.  A ``k=0`` or ``k=None`` test
+  rule whose body is two atoms of one chosen predicate, such as the
+  uniqueness rule ``{E1=E2; P1=P2; W1=W2}=0 :- match(E1,P1,W1),
+  match(E2,P2,W2), (E1,P1,W1)!=(E2,P2,W2).``, is symmetric when swapping the
+  variables of the two atoms position by position maps its body comparisons
+  and its set of heads onto themselves.  Its instances then come in mirror
+  pairs that give the same nogood, so the second atom only matches rows whose
+  id is at least the first row's.
 
 A rule is statically error-free when, given the value types of the extension
 columns its variables are bound from, every comparison, head and compound
@@ -58,6 +69,7 @@ from __future__ import annotations
 import itertools
 import operator
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -349,11 +361,15 @@ def _checked_tuple(terms, rule_index: int, place: str) -> Callable[[Binding], tu
 
 
 class _Extension:
-    """Ground tuples of one predicate; `atoms` maps a chosen row to its id."""
+    """Ground tuples of one predicate; `atoms` maps a chosen row to its id.
+
+    `indexes` caches the index of each atom-step signature over these rows.
+    """
 
     def __init__(self, rows: list[tuple[GroundValue, ...]], atoms: dict | None = None):
         self.rows = rows
         self.atoms = atoms
+        self.indexes: dict[tuple, dict[tuple, list[tuple[GroundValue, ...]]]] = {}
 
     def column_type(self, position: int) -> type | None:
         """int or str if every row holds that type at `position`, else None."""
@@ -401,13 +417,74 @@ def _comparison_typed(comp: Comparison, types: dict[str, type | None]) -> bool:
 _NEGATED = {"=": "!=", "!=": "=", "<": ">=", ">": "<=", "<=": ">", ">=": "<"}
 
 
+def _renamed(term: Term, names: dict[str, Variable]) -> Term:
+    """`term` with each variable renamed through `names`."""
+    if isinstance(term, Variable):
+        return names.get(term.name, term)
+    if isinstance(term, Arith):
+        return Arith(term.op, _renamed(term.left, names), _renamed(term.right, names))
+    if isinstance(term, Abs):
+        return Abs(_renamed(term.inner, names))
+    if isinstance(term, TupleTerm):
+        return TupleTerm(tuple(_renamed(t, names) for t in term.elements))
+    return term
+
+
+def _normal_forms(comps, names: dict[str, Variable]) -> set[tuple]:
+    """The comparisons renamed through `names`, in a form that ignores which
+    side is written first: ``A>B`` is ``B<A``, and ``=``/``!=`` sides are
+    unordered."""
+    forms = set()
+    for comp in comps:
+        lhs, op, rhs = _renamed(comp.lhs, names), comp.op, _renamed(comp.rhs, names)
+        if op in (">", ">="):
+            lhs, op, rhs = rhs, "<" + op[1:], lhs
+        forms.add((op, frozenset((lhs, rhs))) if op in ("=", "!=") else (op, lhs, rhs))
+    return forms
+
+
+def _symmetric(rule: TestRule) -> bool:
+    """True if the rule's body is two atoms of one predicate over plain
+    variables that the position-by-position swap maps onto each other, and
+    the swap also maps the body comparisons and the set of heads onto
+    themselves.
+
+    Each atom's variables must be distinct; a variable in both atoms must
+    sit at the same position, where the swap leaves it.  Only ``k=0`` and
+    ``k=None`` qualify: they ask whether some head holds, which the swap
+    keeps, where a counted ``k`` would also depend on repeated heads.
+    """
+    atoms = [lit for lit in rule.body if isinstance(lit, Atom)]
+    if rule.k not in (0, None) or len(atoms) != 2 or atoms[0].predicate != atoms[1].predicate:
+        return False
+    first, second = atoms[0].args, atoms[1].args
+    if not all(isinstance(t, Variable) for t in first + second):
+        return False
+    if len({t.name for t in first}) < len(first) or len({t.name for t in second}) < len(second):
+        return False
+    if any((a in second) != (a == b) for a, b in zip(first, second)):
+        return False  # a variable of the first atom sits elsewhere in the second
+    swap = {a.name: b for a, b in zip(first + second, second + first)}
+    comparisons = [lit for lit in rule.body if isinstance(lit, Comparison)]
+    return all(
+        _normal_forms(comps, swap) == _normal_forms(comps, {})
+        for comps in (comparisons, rule.heads)
+    )
+
+
 class _AtomStep:
     """Match one body atom: look its rows up by key, then bind its new variables.
 
     The key holds the values of the argument positions bound before the step,
     then one value per pushed ``=`` comparison.  `probe` holds the terms that
     compute the key from the current binding; `row_sides` compute the pushed
-    key parts from a row when the index is built on first use.
+    key parts from a row when the index is built.  The index is built on first
+    use and cached on the extension under the step's signature: its key
+    positions, repeated-variable positions, row sides and binders.  A bucket
+    lists its rows in table order, which for a chosen predicate is id order.
+
+    An `ordered` step, the second atom of a symmetric self-join, matches only
+    the rows of a bucket whose id is at least the first atom's id.
     """
 
     def __init__(self, atom: Atom, extension: _Extension, bound: set[str]):
@@ -420,6 +497,7 @@ class _AtomStep:
         self.not_ground = False
         self.row_sides: list[Term] = []
         self.index: dict[tuple, list[tuple[GroundValue, ...]]] | None = None
+        self.ordered = False
         for position, term in enumerate(atom.args):
             if isinstance(term, Variable) and term.name not in bound:
                 if term.name in self.binders:
@@ -449,16 +527,29 @@ class _AtomStep:
 
     def rows(self, key: tuple) -> list[tuple[GroundValue, ...]]:
         if self.index is None:
-            self.index = {}
-            sides = _native_tuple(self.row_sides) if self.row_sides else None
-            for row in self.extension.rows:
-                if any(row[a] != row[b] for a, b in self.repeats):
-                    continue
-                values = tuple(row[p] for p in self.positions)
-                if sides is not None:
-                    values += sides({name: row[p] for name, p in self.binders.items()})
-                self.index.setdefault(values, []).append(row)
+            signature = (
+                tuple(self.positions),
+                tuple(self.repeats),
+                tuple(self.row_sides),
+                tuple(self.binders.items()),
+            )
+            indexes = self.extension.indexes
+            if signature not in indexes:
+                indexes[signature] = self._build_index()
+            self.index = indexes[signature]
         return self.index.get(key, [])
+
+    def _build_index(self) -> dict[tuple, list[tuple[GroundValue, ...]]]:
+        index: dict[tuple, list[tuple[GroundValue, ...]]] = {}
+        sides = _native_tuple(self.row_sides) if self.row_sides else None
+        for row in self.extension.rows:
+            if any(row[a] != row[b] for a, b in self.repeats):
+                continue
+            values = tuple(row[p] for p in self.positions)
+            if sides is not None:
+                values += sides({name: row[p] for name, p in self.binders.items()})
+            index.setdefault(values, []).append(row)
+        return index
 
     def compile(self, rule_index: int, error_free: bool, then, chosen: list, check_deadline):
         """A closure that binds each matching row in turn and calls `then`."""
@@ -476,10 +567,14 @@ class _AtomStep:
                 return key
 
         rows, binders, atoms = self.rows, tuple(self.binders.items()), self.extension.atoms
+        ordered = self.ordered
 
         def run(binding: Binding) -> None:
             check_deadline()
-            for row in rows(probe(binding)):
+            bucket = rows(probe(binding))
+            if ordered:
+                bucket = bucket[bisect_left(bucket, chosen[-1], key=atoms.__getitem__) :]
+            for row in bucket:
                 for name, position in binders:
                     binding[name] = row[position]
                 if atoms is None:
@@ -603,7 +698,15 @@ class _Grounder:
         return _native_test(comp) if error_free else _checked_test(comp, rule_index)
 
     def _plan(
-        self, literals, rule_index: int, error_free: bool, emit, chosen=None, pushed=(), bound=()
+        self,
+        literals,
+        rule_index: int,
+        error_free: bool,
+        emit,
+        chosen=None,
+        pushed=(),
+        bound=(),
+        symmetric=False,
     ):
         """Compile literals into one closure that calls `emit(binding)` once per
         instance: atoms in the given order, each comparison right after the
@@ -612,14 +715,15 @@ class _Grounder:
         In an `error_free` plan, an ``=`` comparison that one side computes
         from the atom's row and the other from earlier bindings joins that
         atom's key instead.  `pushed` comparisons are placed the same way, or
-        at the end.
+        at the end.  In a `symmetric` plan the second atom is an ordered step.
         """
         steps: list = []
         bound = set(bound)
         pending = [(lit, False) for lit in literals if isinstance(lit, Comparison)]
         pending += [(comp, True) for comp in pushed]
-        for atom in (lit for lit in literals if isinstance(lit, Atom)):
+        for n, atom in enumerate(lit for lit in literals if isinstance(lit, Atom)):
             step = _AtomStep(atom, self._extension(atom.predicate), bound)
+            step.ordered = symmetric and n == 1
             before = set(bound)
             bound |= atom_variables(atom)
             steps.append(step)
@@ -687,13 +791,21 @@ class _Grounder:
         for index, rule in enumerate(self.program.rules):
             if isinstance(rule, TestRule):
                 self._ground_test(rule, index, nogoods)
-        ordered = sorted((tuple(sorted(ids)) for ids in nogoods), key=lambda ids: (len(ids), ids))
-        return tuple(Nogood(ids) for ids in ordered)
+        # (len, ids) order: sort by ids, then stably by length.
+        ordered = sorted(map(tuple, map(sorted, nogoods)))
+        ordered.sort(key=len)
+        return tuple(map(Nogood, ordered))
 
     def _ground_test(self, rule: TestRule, index: int, nogoods: set[frozenset[int]]) -> None:
         atoms = [lit for lit in rule.body if isinstance(lit, Atom)]
         comparisons = [lit for lit in rule.body if isinstance(lit, Comparison)]
         error_free = self._error_free(atoms, comparisons + list(rule.heads))
+        # Only chosen rows have the ids an ordered step compares.
+        symmetric = (
+            error_free
+            and _symmetric(rule)
+            and self._extension(atoms[0].predicate).atoms is not None
+        )
         chosen: list[int] = []
 
         def violated(binding: Binding) -> None:
@@ -702,13 +814,15 @@ class _Grounder:
         if error_free and rule.k == 0:
             # Violated when some head holds: one plan per head.
             plans = [
-                self._plan(rule.body, index, True, violated, chosen, pushed=(head,))
+                self._plan(rule.body, index, True, violated, chosen, pushed=(head,), symmetric=symmetric)
                 for head in rule.heads
             ]
         elif error_free and rule.k is None:
             # Violated when every head fails.
             negated = tuple(Comparison(c.lhs, _NEGATED[c.op], c.rhs) for c in rule.heads)
-            plans = [self._plan(rule.body, index, True, violated, chosen, pushed=negated)]
+            plans = [
+                self._plan(rule.body, index, True, violated, chosen, pushed=negated, symmetric=symmetric)
+            ]
         else:
             heads = [self._test(comp, index, error_free) for comp in rule.heads]
 

@@ -525,3 +525,110 @@ def ill_typed_program(rng):
         rules.append(TestRule(heads, k, tuple(body)))
 
     return Program(tuple(rules))
+
+
+
+# ---------------------------------------------------------------------------
+# Seeded self-joins of one chosen predicate, most of them symmetric
+# ---------------------------------------------------------------------------
+
+_MIRRORED = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
+
+
+def _renamed(term, names):
+    """`term` with each variable renamed through `names`."""
+    if isinstance(term, Variable):
+        return names.get(term.name, term)
+    if isinstance(term, Arith):
+        return Arith(term.op, _renamed(term.left, names), _renamed(term.right, names))
+    if isinstance(term, Abs):
+        return Abs(_renamed(term.inner, names))
+    if isinstance(term, TupleTerm):
+        return TupleTerm(tuple(_renamed(t, names) for t in term.elements))
+    return term
+
+
+def symmetric_program(rng):
+    """A small program whose test rules join one chosen predicate with itself.
+
+    Each test rule has k=0 or k=None and the body ``c(A1,B1,..), c(A2,B2,..)``
+    followed by comparisons; a position may hold one shared variable in both
+    atoms.  Most rules are symmetric under swapping A1 with A2, B1 with B2
+    and so on: each body comparison and each head either maps onto itself or
+    comes with its mirror image.  Some miss by one comparison.  A body may
+    carry the guard ``(A1,B1,..)!=(A2,B2,..)``; without it, a violated
+    instance can pair a row with itself and give a unit nogood.  Comparisons
+    are written with either side first, and every rule is well typed.
+    """
+    kinds = [rng.choice(("int", "int", "str")) for _ in range(rng.randint(1, 3))]
+    ints = [i for i, kind in enumerate(kinds) if kind == "int"]
+    rules = []
+    for i, kind in enumerate(kinds):
+        pool = [1, 2, 3, 4] if kind == "int" else ["a", "b", "c"]
+        values = sorted(rng.sample(pool, rng.choice([1, 2, 3, 3])))
+        rules.append(Fact(f"d{i}", (tuple(_const(v) for v in values),)))
+    head = Atom("c", tuple(Variable(f"X{i}") for i in range(len(kinds))))
+    conditions = tuple(Atom(f"d{i}", (Variable(f"X{i}"),)) for i in range(len(kinds)))
+    body = ()
+    if len(kinds) > 1 and rng.random() < 0.5:
+        body, conditions = conditions[:1], conditions[1:]  # one choice per first value
+    rules.append(ChoiceRule(head, conditions, rng.choice([1, 1, 2]), body))
+
+    for _ in range(rng.randint(1, 3)):
+        letters = "ABC"[: len(kinds)]
+        shared = {rng.choice(letters)} if len(kinds) > 1 and rng.random() < 0.3 else set()
+        first = [Variable(x if x in shared else x + "1") for x in letters]
+        second = [Variable(x if x in shared else x + "2") for x in letters]
+        swap = {v.name: w for v, w in zip(first + second, second + first)}
+
+        def written(lhs, op, rhs):
+            if rng.random() < 0.5:
+                return Comparison(rhs, _MIRRORED[op], lhs)
+            return Comparison(lhs, op, rhs)
+
+        def side_term(side, i):
+            """A term of column i's type over one atom's variables."""
+            if kinds[i] == "str" or rng.random() < 0.4:
+                return side[i]
+            return rng.choice([
+                Arith("+", side[i], IntConst(rng.randint(1, 2))),
+                Arith("/", Arith("-", side[i], IntConst(1)), IntConst(2)),
+                Arith("+", side[i], side[rng.choice(ints)]),
+            ])
+
+        def comparison():
+            """Over one atom's variables and a constant, or across both atoms."""
+            i = rng.randrange(len(kinds))
+            side, other = rng.choice(((first, second), (second, first)))
+            lhs = side_term(side, i)
+            if kinds[i] == "str":
+                rhs = rng.choice([StrConst(rng.choice("abc")), other[i]])
+                return written(lhs, rng.choice(["=", "!="]), rhs)
+            rhs = rng.choice([IntConst(rng.randint(1, 5)), side_term(other, rng.choice(ints))])
+            return written(lhs, rng.choice(INT_OPS), rhs)
+
+        def symmetric(count):
+            """Comparisons that each map onto themselves or come with their mirror."""
+            comps = []
+            for _ in range(count):
+                if rng.random() < 0.4:
+                    term = side_term(first, rng.randrange(len(kinds)))
+                    comps.append(written(term, rng.choice(["=", "!="]), _renamed(term, swap)))
+                else:
+                    comp = comparison()
+                    mirror = written(_renamed(comp.lhs, swap), comp.op, _renamed(comp.rhs, swap))
+                    comps += [comp, mirror]
+            if rng.random() < 0.15:
+                comps.append(comparison())  # a near miss
+            return comps
+
+        comps = symmetric(rng.randint(0, 2))
+        if rng.random() < 0.6:
+            if len(kinds) > 1:
+                comps.append(written(TupleTerm(tuple(first)), "!=", TupleTerm(tuple(second))))
+            else:
+                comps.append(written(first[0], "!=", second[0]))
+        rng.shuffle(comps)
+        atoms = (Atom("c", tuple(first)), Atom("c", tuple(second)))
+        rules.append(TestRule(tuple(symmetric(1)), rng.choice([0, None]), atoms + tuple(comps)))
+    return Program(tuple(rules))

@@ -2,16 +2,22 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR
-from oracles import decoded, ill_typed_program, oracle_ground
+from oracles import decoded, ill_typed_program, oracle_ground, symmetric_program
 
+import puzzle2asp
+from puzzle2asp import ground
 from puzzle2asp.ground import (
     GAtom,
     GroundingError,
@@ -26,6 +32,7 @@ from puzzle2asp.syntax import (
     Comparison,
     IntConst,
     StrConst,
+    TestRule,
     parse_program,
 )
 
@@ -356,3 +363,166 @@ def test_ill_typed_programs_are_pinned():
             out = f"GroundingError: {exc}\n"
         digest.update(f"{seed}\n{out}".encode())
     assert digest.hexdigest() == ILL_TYPED_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Symmetric self-joins: each mirror pair of instances is joined once
+# ---------------------------------------------------------------------------
+
+SYMMETRIC_RULES = {
+    "against_grain": "{E1=E2; P1=P2; W1=W2}=0 :- match(E1,P1,W1), match(E2,P2,W2), (E1,P1,W1)!=(E2,P2,W2).",
+    "foodie": "{W1=W2; P1=P2; N1=N2}=0 :- match(W1,P1,N1), match(W2,P2,N2), (W1,P1,N1)!=(W2,P2,N2).",
+    "weight_loss": "{N1=N2; Pl1=Pl2; D1=D2}=0 :- match(N1,Pl1,D1), match(N2,Pl2,D2), (N1,Pl1,D1)!=(N2,Pl2,D2).",
+    "queens-column": "{Ic1=Ic2}=0 :- assign(Ir1,Ic1), assign(Ir2,Ic2), Ir1!=Ir2.",
+    "mirrored-order": "{A1<B2; A2<B1}=0 :- p(A1,B1), p(A2,B2), B1>A1, A2<B2.",
+    "mirrored-order-k-none": "A1>=B2; B1<=A2 :- p(A1,B1), p(A2,B2).",
+    "reversed-not-equal": "{A1=A2}=0 :- p(A1,B1), p(A2,B2), (B2,A2)!=(B1,A1), B1!=B2.",
+    "shared-position": "{N1=N2}=0 :- assign(Ir1,Ic,N1), assign(Ir2,Ic,N2), (Ir1,N1)!=(Ir2,N2).",
+}
+
+ASYMMETRIC_RULES = {
+    "roadmap-near-miss": 'P1>P2 :- match(E1,P1,W1), match(E2,P2,W2), W1="poplar", E2="Yvette".',
+    "one-sided-comparison": 'E1=E2 :- match(E1,P1,W1), match(E2,P2,W2), W1="poplar".',
+    "ordered-pair": "{A1=A2}=0 :- p(A1,B1), p(A2,B2), A1<A2.",
+    "constant-argument": '{E1=E2}=0 :- match(E1,P1,"oak"), match(E2,P2,"oak").',
+    "repeated-variable": "{A1=A2}=0 :- p(A1,A1), p(A2,A2).",
+    "shared-at-other-position": "{A=C}=0 :- p(A,B), p(B,C).",
+    "two-predicates": "{A1=A2}=0 :- p(A1,B1), q(A2,B2).",
+    "three-atoms": "{A1=A2}=0 :- p(A1,B1), p(A2,B2), p(A3,B3).",
+    "head-image-differs": "{A1<A2; B1=B2}=0 :- p(A1,B1), p(A2,B2).",
+    "head-image-differs-k-none": "A1=B2 :- p(A1,B1), p(A2,B2).",
+    "counted-k": "{A1=A2; B1=B2}=1 :- p(A1,B1), p(A2,B2), (A1,B1)!=(A2,B2).",
+}
+
+
+@pytest.mark.parametrize("text", SYMMETRIC_RULES.values(), ids=SYMMETRIC_RULES)
+def test_symmetric_self_join_is_detected(text):
+    (rule,) = parse_program(text).rules
+    assert ground._symmetric(rule)
+
+
+@pytest.mark.parametrize("text", ASYMMETRIC_RULES.values(), ids=ASYMMETRIC_RULES)
+def test_asymmetric_self_join_is_not_detected(text):
+    (rule,) = parse_program(text).rules
+    assert not ground._symmetric(rule)
+
+
+def test_mini_story_uniqueness_rules_are_detected(corpus):
+    for name in ("against_grain", "foodie", "weight_loss"):
+        assert SYMMETRIC_RULES[name] in corpus[name]
+
+
+def _ordered_probes(monkeypatch, text: str) -> int:
+    """Ground `text`, counting the probes of ordered (second-atom) steps."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return bisect_left(*args, **kwargs)
+
+    bisect_left = ground.bisect_left
+    monkeypatch.setattr(ground, "bisect_left", counted)
+    assert_matches_oracle(text)
+    return len(calls)
+
+
+def test_only_error_free_chosen_self_joins_are_ordered(monkeypatch, corpus):
+    assert _ordered_probes(monkeypatch, corpus["weight_loss"]) > 0
+    domain = "d(1;2;3).\n{c(X): d(X)}=1.\n"
+    assert _ordered_probes(monkeypatch, domain + "{X1=X2}=0 :- c(X1), c(X2).") > 0
+    # a self-join of a domain predicate has no ids to order by
+    assert _ordered_probes(monkeypatch, domain + "{X1=X2}=0 :- d(X1), d(X2), c(X1).") == 0
+    assert _ordered_probes(monkeypatch, domain + "{X1=X2}=0 :- d(X1), d(X2).") == 0
+    # symmetric, but dividing by a variable is not statically error-free
+    divided = "{X1=X2}=0 :- c(X1), c(X2), X1/X2>=0, X2/X1>=0."
+    assert ground._symmetric(parse_program(divided).rules[0])
+    assert _ordered_probes(monkeypatch, domain + divided) == 0
+
+
+# SHA-256 over, for each seed, the dump of the grounded symmetric_program;
+# computed before the grounder joined symmetric rules once.
+SYMMETRIC_SEEDS = range(3000)
+SYMMETRIC_SHA256 = "e7206c52cbf6079a4a758c887032987a3ce0282ce228743a55e490bdaa957683"
+
+
+def test_symmetric_programs_match_oracle_and_are_pinned():
+    digest = hashlib.sha256()
+    detected = 0
+    for seed in SYMMETRIC_SEEDS:
+        program = symmetric_program(random.Random(seed))
+        detected += sum(ground._symmetric(r) for r in program.rules if isinstance(r, TestRule))
+        g = ground_program(program)
+        assert decoded(g) == oracle_ground(program), seed
+        digest.update(f"{seed}\n{g.dump()}".encode())
+    assert digest.hexdigest() == SYMMETRIC_SHA256
+    assert 2000 < detected < 5000  # of 6,020 test rules: both paths are exercised
+
+
+# ---------------------------------------------------------------------------
+# Index sharing: steps share an index only when their signatures are equal
+# ---------------------------------------------------------------------------
+
+# Each pair of rules differs in one part of a step's index signature, and
+# the nogoods of its two rules are disjoint, so neither hides the other's
+# mistake.  "all-in-one" puts every rule in one program.
+INDEX_NEAR_COLLISIONS = {
+    # c(X,Y,X) and c(X,Y,Y) have the same binders and differ in what repeats
+    "repeated-variable": "{X=2}=0 :- c(X,Y,X).\n{X=3}=0 :- c(X,Y,Y).\n",
+    "row-side": (
+        "{Z1=Z2}=0 :- c(X1,1,Z1), c(X2,1,Z2), (X1-1)/3=(X2-1)/3, X1!=X2.\n"
+        "{Z1=Z2}=0 :- c(X1,2,Z1), c(X2,2,Z2), (X1-1)/2=(X2-1)/2, X1!=X2.\n"
+    ),
+    # the row side X2 reads position 0 in one rule and position 1 in the other
+    "binder-names": (
+        "{Z1=Z2}=0 :- c(X1,Y1,Z1), c(X2,Y2,Z2), X1+1=X2.\n"
+        "{Z1=Z2}=0 :- c(X1,Y1,Z1), c(Y2,X2,Z2), X1+1=X2.\n"
+    ),
+}
+INDEX_NEAR_COLLISIONS["all-in-one"] = "".join(INDEX_NEAR_COLLISIONS.values())
+
+
+@pytest.mark.parametrize("rules", INDEX_NEAR_COLLISIONS.values(), ids=INDEX_NEAR_COLLISIONS)
+def test_index_near_collisions_match_oracle(rules):
+    assert_matches_oracle("d(1;2;3).\n{c(X,Y,Z): d(Y), d(Z)}=1 :- d(X).\n" + rules)
+
+
+# ---------------------------------------------------------------------------
+# Output does not depend on the order of string hashing
+# ---------------------------------------------------------------------------
+
+HASH_ORDER_SCRIPT = """
+import json
+import sys
+from pathlib import Path
+
+from puzzle2asp.bench import evaluate_case, load_dataset
+from puzzle2asp.gateway import ScriptedBackend
+from puzzle2asp.ground import ground_program
+from puzzle2asp.solve import enumerate_models, render_models
+from puzzle2asp.syntax import parse_program
+
+data = Path(sys.argv[1])
+programs = [(p.stem, parse_program(p.read_text())) for p in sorted(data.glob("*.lp"))]
+scripts = json.loads((data / "mini_script.json").read_text())
+for case in load_dataset(data / "mini.jsonl"):
+    trace = evaluate_case(case, ScriptedBackend(scripts[case.id])).trace
+    programs.append((case.id, trace.assembled_program))
+for name, program in programs:
+    g = ground_program(program)
+    sys.stdout.write("== " + name + "\\n" + g.dump() + render_models(enumerate_models(g)))
+"""
+
+
+def test_output_does_not_depend_on_string_hashing():
+    src = Path(puzzle2asp.__file__).resolve().parent.parent
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_ORDER_SCRIPT, str(DATA_DIR)],
+            env=env, capture_output=True, check=True, timeout=300,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0].count(b"\n== ") + 1 == len(CORPUS_DUMP_SHA256) + 3
+    assert outputs[0] == outputs[1]
