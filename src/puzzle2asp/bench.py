@@ -171,9 +171,6 @@ class OutcomeKind:
     TIMEOUT = "Timeout"
 
 
-_STAGED_KINDS = {OutcomeKind.SYNTAX_ERROR, OutcomeKind.FORMAT_ERROR, OutcomeKind.BACKEND_ERROR}
-
-
 @dataclass(frozen=True)
 class CaseOutcome:
     kind: str

@@ -103,6 +103,15 @@ def _line(entry: CassetteEntry) -> str:
     return json.dumps(asdict(entry), ensure_ascii=False) + "\n"
 
 
+_ENTRY_TYPES = {"fingerprint": str, "request": dict, "response_text": str}
+
+
+def _is_entry(item) -> bool:
+    return isinstance(item, dict) and all(
+        isinstance(item.get(key), kind) for key, kind in _ENTRY_TYPES.items()
+    )
+
+
 class Cassette:
     """Fingerprint-keyed store of request/response pairs, kept as JSON Lines.
 
@@ -130,6 +139,8 @@ class Cassette:
 
     @classmethod
     def load(cls, path: str | Path) -> "Cassette":
+        """Read a cassette file.  Raises ValueError naming the path and the line
+        (the entry, in the old format) of anything that is not an entry."""
         cassette = cls(path)
         text = Path(path).read_text(encoding="utf-8")
         try:
@@ -137,23 +148,29 @@ class Cassette:
         except json.JSONDecodeError:
             legacy = None  # several lines, or one cut off
         if isinstance(legacy, dict) and "entries" in legacy:
-            items, clean = legacy["entries"], False
+            entries = legacy["entries"]
+            if not isinstance(entries, list):
+                raise ValueError(f'{path}: "entries" is not a list')
+            items = [(f"entry {number}", item) for number, item in enumerate(entries, 1)]
+            clean = False
         else:
             *lines, tail = text.split("\n")
             items = []
             for number, line in enumerate(lines, 1):
                 if line.strip():
                     try:
-                        items.append(json.loads(line))
+                        items.append((f"line {number}", json.loads(line)))
                     except json.JSONDecodeError as exc:
                         raise ValueError(f"{path}: line {number} is not a cassette entry: {exc}") from exc
             clean = not tail
             if tail:
                 try:
-                    items.append(json.loads(tail))
+                    items.append((f"line {len(lines) + 1}", json.loads(tail)))
                 except json.JSONDecodeError:
                     pass  # the last line was cut off mid-write
-        for item in items:
+        for where, item in items:
+            if not _is_entry(item):
+                raise ValueError(f"{path}: {where} is not a cassette entry")
             if item["fingerprint"] in cassette._index:
                 continue  # the first entry wins, as in `record`
             entry = CassetteEntry(

@@ -13,21 +13,24 @@ there.  The solver then only ever deals with three ground objects:
 Choice bodies, choice conditions and test bodies are each compiled once into
 a join plan: the atoms in written order, each comparison right after the atom
 that binds its last variable.  An atom step looks its rows up in an index
-keyed on every argument position bound before it.  The index is built on
-first use and cached on the predicate's extension, so every step with the
-same signature (key positions, repeated variables, pushed key sides and the
-variables it binds) shares it, across head plans and across rules.  When a
-rule is statically error-free, its plan also pushes work into the keys:
+keyed on every argument position bound before it.  The step is bound to its
+index when the plan is compiled: the index is cached on the predicate's
+extension, so every step with the same signature (key positions, repeated
+variables, pushed key sides and the variables it binds) shares it, across
+violation plans and across rules.  When a rule is statically error-free, its
+plan also does less work per instance:
 
 * an ``=`` comparison with one side computed only from the variables the atom
   binds and the other from earlier bindings, such as
   ``((Ir1-1)/3,(Ic1-1)/3)=((Ir2-1)/3,(Ic2-1)/3)`` or ``W1="poplar"``, becomes
   one more element of that atom's key instead of a filter;
-* a test rule's violation condition joins the body, so only violating
-  instances are enumerated.  For ``k=0`` (violated when some head holds) there
-  is one plan per head; nogoods form a set, so an instance found twice counts
-  once.  For ``k=None`` (violated when every head fails) each negated head is
-  pushed.  Any other ``k`` counts the true heads of every body instance.
+* a test rule's violation condition becomes plain body comparisons, so only
+  violating instances are enumerated.  For ``k=0`` (violated when some head
+  holds) there is one plan per head, whose body is the rule body plus that
+  head; nogoods form a set, so an instance found twice counts once.  For
+  ``k=None`` (violated when every head fails) the one plan's body is the rule
+  body plus every head negated.  Any other ``k`` counts the true heads of
+  every body instance.
 * a symmetric self-join is enumerated once.  A ``k=0`` or ``k=None`` test
   rule whose body is two atoms of one chosen predicate, such as the
   uniqueness rule ``{E1=E2; P1=P2; W1=W2}=0 :- match(E1,P1,W1),
@@ -41,25 +44,26 @@ A rule is statically error-free when, given the value types of the extension
 columns its variables are bound from, every comparison, head and compound
 atom argument is well typed: arithmetic reads only integer columns, every
 ``/`` and ``\\`` divides by a nonzero constant, and every ``=`` and ``!=``
-compares values of one type.  Any other rule runs the same plan without
-pushed comparisons, so each evaluation error is raised where a literal-by-
-literal join would raise it.  An atom argument that is not ground when its
-step is reached raises there, not when the rule is compiled.
+compares values of one type.  Any other rule keeps every comparison a filter
+and counts its test-rule heads on every body instance, so each evaluation
+error is raised where a literal-by-literal join would raise it.  An atom
+argument that is not ground when its step is reached raises there, not when
+the rule is compiled.
 
 A plan runs as a chain of closures, one per atom step and comparison filter,
 ending in a callback per instance.  Every filter, probe, pushed key side,
 choice head and counted test-rule head is compiled once, when its plan is
-built, into a closure of the binding.  A
-statically error-free rule gets closures of plain Python operators with no
-type checks: the column types already prove every check would pass, and
-``==``/``!=`` are exact because both sides have one type and tuple shape.
-``/`` and ``\\`` still go through `_trunc_div` and `_remainder`, which
-truncate toward zero.  Any other rule gets checked closures around
-:func:`evaluate_term` and :func:`evaluate_comparison`, so each
-:class:`GroundingError` is raised at the same instance, with the same text
-and binding, as a literal-by-literal join would raise it.  Those evaluators
-stay because they are the only correct path for such rules, and because the
-brute-force oracle in ``tests/oracles.py`` grounds with them.
+built, into a closure of the binding.  A statically error-free rule gets
+closures of plain Python operators with no type checks: the column types
+already prove every check would pass, and ``==``/``!=`` are exact because
+both sides have one type and tuple shape.  ``/`` and ``\\`` still go through
+`_trunc_div` and `_remainder`, which truncate toward zero.  Any other rule
+gets checked closures around :func:`evaluate_term` and
+:func:`evaluate_comparison`, so each :class:`GroundingError` is raised at the
+same instance, with the same text and binding, as a literal-by-literal join
+would raise it.  Those evaluators stay because they are the only correct path
+for such rules, and because the brute-force oracle in ``tests/oracles.py``
+grounds with them.
 
 Grounding is deterministic: identical input produces an identical
 :meth:`GroundProgram.dump`.
@@ -133,11 +137,17 @@ class GAtom:
         return self.predicate + "(" + ",".join(render_value(v) for v in self.args) + ")"
 
 
+def _ground_key(value) -> tuple:
+    # Integers sort before strings so mixed-type columns still have a total order.
+    return (0, value) if isinstance(value, int) else (1, value)
+
+
+def _row_key(row: tuple[GroundValue, ...]) -> tuple:
+    return tuple(_ground_key(v) for v in row)
+
+
 def atom_sort_key(atom: GAtom) -> tuple:
-    # Integers sort before strings so mixed-type argument columns still have
-    # a total order.
-    tagged = tuple((0, v) if isinstance(v, int) else (1, v) for v in atom.args)
-    return (atom.predicate, len(atom.args), tagged)
+    return (atom.predicate, len(atom.args), _row_key(atom.args))
 
 
 @dataclass(frozen=True)
@@ -377,14 +387,6 @@ class _Extension:
         return kinds.pop() if len(kinds) == 1 else None
 
 
-def _ground_key(value) -> tuple:
-    return (0, value) if isinstance(value, int) else (1, value)
-
-
-def _row_key(row: tuple[GroundValue, ...]) -> tuple:
-    return tuple(_ground_key(v) for v in row)
-
-
 def _term_type(term: Term, types: dict[str, type | None]):
     """int, str or a tuple of these if `term` evaluates without error, else None."""
     if isinstance(term, IntConst):
@@ -478,16 +480,17 @@ class _AtomStep:
     The key holds the values of the argument positions bound before the step,
     then one value per pushed ``=`` comparison.  `probe` holds the terms that
     compute the key from the current binding; `row_sides` compute the pushed
-    key parts from a row when the index is built.  The index is built on first
-    use and cached on the extension under the step's signature: its key
-    positions, repeated-variable positions, row sides and binders.  A bucket
+    key parts from a row when the index is built.  `compile` binds the step to
+    the extension's index for its signature: its key positions, repeated-
+    variable positions, row sides and binders.  The first step compiled with a
+    signature builds that index, and every later one shares it.  A bucket
     lists its rows in table order, which for a chosen predicate is id order.
 
     An `ordered` step, the second atom of a symmetric self-join, matches only
     the rows of a bucket whose id is at least the first atom's id.
     """
 
-    def __init__(self, atom: Atom, extension: _Extension, bound: set[str]):
+    def __init__(self, atom: Atom, extension: _Extension, bound: set[str], ordered: bool):
         self.predicate = atom.predicate
         self.extension = extension
         self.probe: list[Term] = []
@@ -496,8 +499,7 @@ class _AtomStep:
         self.repeats: list[tuple[int, int]] = []
         self.not_ground = False
         self.row_sides: list[Term] = []
-        self.index: dict[tuple, list[tuple[GroundValue, ...]]] | None = None
-        self.ordered = False
+        self.ordered = ordered
         for position, term in enumerate(atom.args):
             if isinstance(term, Variable) and term.name not in bound:
                 if term.name in self.binders:
@@ -525,20 +527,6 @@ class _AtomStep:
                 return True
         return False
 
-    def rows(self, key: tuple) -> list[tuple[GroundValue, ...]]:
-        if self.index is None:
-            signature = (
-                tuple(self.positions),
-                tuple(self.repeats),
-                tuple(self.row_sides),
-                tuple(self.binders.items()),
-            )
-            indexes = self.extension.indexes
-            if signature not in indexes:
-                indexes[signature] = self._build_index()
-            self.index = indexes[signature]
-        return self.index.get(key, [])
-
     def _build_index(self) -> dict[tuple, list[tuple[GroundValue, ...]]]:
         index: dict[tuple, list[tuple[GroundValue, ...]]] = {}
         sides = _native_tuple(self.row_sides) if self.row_sides else None
@@ -553,6 +541,16 @@ class _AtomStep:
 
     def compile(self, rule_index: int, error_free: bool, then, chosen: list, check_deadline):
         """A closure that binds each matching row in turn and calls `then`."""
+        signature = (
+            tuple(self.positions),
+            tuple(self.repeats),
+            tuple(self.row_sides),
+            tuple(self.binders.items()),
+        )
+        indexes = self.extension.indexes
+        if signature not in indexes:
+            indexes[signature] = self._build_index()
+        rows = indexes[signature].get
         if error_free:
             probe = _native_tuple(self.probe)
         else:
@@ -566,12 +564,12 @@ class _AtomStep:
                     raise GroundingError(rule_index, binding, message)
                 return key
 
-        rows, binders, atoms = self.rows, tuple(self.binders.items()), self.extension.atoms
+        binders, atoms = tuple(self.binders.items()), self.extension.atoms
         ordered = self.ordered
 
         def run(binding: Binding) -> None:
             check_deadline()
-            bucket = rows(probe(binding))
+            bucket = rows(probe(binding), ())
             if ordered:
                 bucket = bucket[bisect_left(bucket, chosen[-1], key=atoms.__getitem__) :]
             for row in bucket:
@@ -617,7 +615,8 @@ class _Grounder:
             first = diagnostics[0]
             raise GroundingError(first.rule_index, {}, f"program failed validation: {first}")
 
-        self.domain: dict[str, _Extension] = {}
+        # Domain and chosen predicates are disjoint: validation fails on overlap.
+        self.extensions: dict[str, _Extension] = {}
         facts = self._expand_facts()
         picks = self._ground_choices()
         atoms = tuple(sorted(set().union(*(seen for _, _, seen, _ in picks)), key=atom_sort_key))
@@ -630,9 +629,9 @@ class _Grounder:
         # A chosen predicate whose choice rules grounded to nothing still needs
         # an (empty) extension so test-rule bodies over it match zero times.
         # Arities are fixed per predicate, so table order is _row_key order.
-        self.chosen = {pred: _Extension([], {}) for pred in chosen_predicates(self.program)}
+        self.extensions |= {pred: _Extension([], {}) for pred in chosen_predicates(self.program)}
         for aid, atom in enumerate(atoms):
-            extension = self.chosen[atom.predicate]
+            extension = self.extensions[atom.predicate]
             extension.rows.append(atom.args)
             extension.atoms[atom.args] = aid
 
@@ -641,7 +640,6 @@ class _Grounder:
     # -- facts
 
     def _expand_facts(self) -> set[GAtom]:
-        facts: set[GAtom] = set()
         rows_by_pred: dict[str, set[tuple[GroundValue, ...]]] = {}
         for index, rule in enumerate(self.program.rules):
             if not isinstance(rule, Fact):
@@ -658,17 +656,21 @@ class _Grounder:
                         raise GroundingError(index, {}, "tuple term in a fact argument")
                     values.append(value)
                 pools.append(values)
-            for combo in itertools.product(*pools) if pools else [()]:
-                rows_by_pred.setdefault(rule.predicate, set()).add(tuple(combo))
-                facts.add(GAtom(rule.predicate, tuple(combo)))
+            rows = rows_by_pred.setdefault(rule.predicate, set())
+            for row in itertools.product(*pools):
+                self._check_deadline()
+                rows.add(row)
+        # Making the atoms takes several times longer than the product, so it
+        # checks the deadline too.
+        facts: set[GAtom] = set()
         for pred, rows in rows_by_pred.items():
-            self.domain[pred] = _Extension(sorted(rows, key=_row_key))
+            for row in rows:
+                self._check_deadline()
+                facts.add(GAtom(pred, row))
+            self.extensions[pred] = _Extension(sorted(rows, key=_row_key))
         return facts
 
     # -- rule plans
-
-    def _extension(self, predicate: str) -> _Extension:
-        return self.domain[predicate] if predicate in self.domain else self.chosen[predicate]
 
     def _error_free(self, atoms, comparisons, head: Atom | None = None) -> bool:
         """True if no evaluation in the rule can raise, given the column types.
@@ -680,7 +682,7 @@ class _Grounder:
         types: dict[str, type | None] = {}
         bound: set[str] = set()
         for atom in atoms:
-            extension = self._extension(atom.predicate)
+            extension = self.extensions[atom.predicate]
             for position, term in enumerate(atom.args):
                 if isinstance(term, Variable):
                     types.setdefault(term.name, extension.column_type(position))
@@ -704,7 +706,6 @@ class _Grounder:
         error_free: bool,
         emit,
         chosen=None,
-        pushed=(),
         bound=(),
         symmetric=False,
     ):
@@ -714,32 +715,27 @@ class _Grounder:
 
         In an `error_free` plan, an ``=`` comparison that one side computes
         from the atom's row and the other from earlier bindings joins that
-        atom's key instead.  `pushed` comparisons are placed the same way, or
-        at the end.  In a `symmetric` plan the second atom is an ordered step.
+        atom's key instead.  In a `symmetric` plan the second atom is an
+        ordered step.
         """
         steps: list = []
         bound = set(bound)
-        pending = [(lit, False) for lit in literals if isinstance(lit, Comparison)]
-        pending += [(comp, True) for comp in pushed]
+        pending = [lit for lit in literals if isinstance(lit, Comparison)]
         for n, atom in enumerate(lit for lit in literals if isinstance(lit, Atom)):
-            step = _AtomStep(atom, self._extension(atom.predicate), bound)
-            step.ordered = symmetric and n == 1
+            step = _AtomStep(atom, self.extensions[atom.predicate], bound, symmetric and n == 1)
             before = set(bound)
             bound |= atom_variables(atom)
             steps.append(step)
             still = []
-            for comp, is_pushed in pending:
+            for comp in pending:
                 if not comparison_variables(comp) <= bound:
-                    still.append((comp, is_pushed))
+                    still.append(comp)
                 elif not (error_free and step.push(comp, before)):
                     steps.append(self._test(comp, rule_index, error_free))
             pending = still
-        # Left over are pushed comparisons and the bound ones of a body with no
-        # atom to follow.  validate_safety guarantees comparison variables
-        # occur in body atoms, so an unbound one is a genuine internal error.
-        if any(not is_pushed and not comparison_variables(comp) <= bound for comp, is_pushed in pending):
-            raise GroundingError(rule_index, {}, "comparison variables not bound by body atoms")
-        steps += [self._test(comp, rule_index, error_free) for comp, _ in pending]
+        # validate_safety binds every comparison variable in a body atom, so
+        # only the comparisons of a body without atoms are left.
+        steps += [self._test(comp, rule_index, error_free) for comp in pending]
         run = emit
         for step in reversed(steps):
             if isinstance(step, _AtomStep):
@@ -804,25 +800,23 @@ class _Grounder:
         symmetric = (
             error_free
             and _symmetric(rule)
-            and self._extension(atoms[0].predicate).atoms is not None
+            and self.extensions[atoms[0].predicate].atoms is not None
         )
         chosen: list[int] = []
 
         def violated(binding: Binding) -> None:
             nogoods.add(frozenset(chosen))
 
-        if error_free and rule.k == 0:
-            # Violated when some head holds: one plan per head.
-            plans = [
-                self._plan(rule.body, index, True, violated, chosen, pushed=(head,), symmetric=symmetric)
-                for head in rule.heads
-            ]
-        elif error_free and rule.k is None:
-            # Violated when every head fails.
-            negated = tuple(Comparison(c.lhs, _NEGATED[c.op], c.rhs) for c in rule.heads)
-            plans = [
-                self._plan(rule.body, index, True, violated, chosen, pushed=negated, symmetric=symmetric)
-            ]
+        if error_free and rule.k in (0, None):
+            # A violation is the body plus comparisons: for k=0 one head, in one
+            # body per head; for k=None every head negated, in a single body.
+            if rule.k == 0:
+                violations = [(head,) for head in rule.heads]
+            else:
+                violations = [tuple(Comparison(c.lhs, _NEGATED[c.op], c.rhs) for c in rule.heads)]
+            for extra in violations:
+                plan = self._plan(rule.body + extra, index, True, violated, chosen, symmetric=symmetric)
+                plan({})
         else:
             heads = [self._test(comp, index, error_free) for comp in rule.heads]
 
@@ -830,11 +824,9 @@ class _Grounder:
                 true_heads = sum([test(binding) for test in heads])
                 satisfied = true_heads >= 1 if rule.k is None else true_heads == rule.k
                 if not satisfied:
-                    nogoods.add(frozenset(chosen))
+                    violated(binding)
 
-            plans = [self._plan(rule.body, index, error_free, counted, chosen)]
-        for plan in plans:
-            plan({})
+            self._plan(rule.body, index, error_free, counted, chosen)({})
 
 
 def ground_program(program: Program, deadline: float | None = None) -> GroundProgram:

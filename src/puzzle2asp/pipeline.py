@@ -293,7 +293,7 @@ _TEMPLATE_FILES = {
     Stage.CONSTRAINT_RULES: "constraint_rules.txt",
 }
 
-_PLACEHOLDERS = ("<story>", "<constants>", "<predicates>", "<sentences>")
+_PLACEHOLDER_RE = re.compile(r"<story>|<constants>|<predicates>|<sentences>")
 
 _NUMBERED_LINE_RE = re.compile(r"\s*\d+(\.\d+)*[.)]?\s+\S")
 
@@ -331,7 +331,11 @@ def build_prompt(
     predicates: Sequence[PredicateSignature] | None = None,
     original_constraint_template: bool = False,
 ) -> str:
-    """Fill the stage's template; raises MissingInput if a placeholder lacks data."""
+    """Fill the stage's template; raises MissingInput if a placeholder lacks data.
+
+    Every placeholder is filled in one pass over the template, so text that
+    a story or the constants bring in is never read as a placeholder.
+    """
     name = _TEMPLATE_FILES[stage]
     if stage is Stage.CONSTRAINT_RULES and original_constraint_template:
         name = "constraint_rules_original.txt"
@@ -362,13 +366,7 @@ def build_prompt(
             raise MissingInput(stage, "sentences")
         replacements["<sentences>"] = "\n".join(line.strip() for line in clues)
 
-    prompt = template
-    for placeholder, value in replacements.items():
-        prompt = prompt.replace(placeholder, value)
-    for placeholder in _PLACEHOLDERS:
-        if placeholder in prompt:
-            raise MissingInput(stage, placeholder.strip("<>"))
-    return prompt
+    return _PLACEHOLDER_RE.sub(lambda match: replacements[match.group()], template)
 
 
 # ---------------------------------------------------------------------------

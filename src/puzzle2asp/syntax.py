@@ -238,9 +238,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += j + 1 - i
             i = j + 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # what int() accepts; "²".isdigit() holds too
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("INT", text[i:j], line, col))
             col += j - i

@@ -323,6 +323,19 @@ def test_bench_scripted_rejects_record(data_dir, tmp_path, capsys):
     assert not cassette.exists()
 
 
+@pytest.mark.parametrize("text", ["{}\n", '{"entries": [[1]]}\n'])
+def test_bench_replay_of_a_malformed_cassette_exits_2(data_dir, tmp_path, capsys, text):
+    cassette = tmp_path / "cassette.json"
+    cassette.write_text(text)
+    code = main(
+        ["bench", str(data_dir / "mini.jsonl"), "--backend", "replay", "--cassette", str(cassette)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(cassette) in err
+    assert "is not a cassette entry" in err
+
+
 def test_bench_schema_error_exits_2(tmp_path, capsys):
     dataset = tmp_path / "bad.jsonl"
     dataset.write_text('{"id": "x"}\n')

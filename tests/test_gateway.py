@@ -248,6 +248,28 @@ def test_bad_line_before_the_last_raises(tmp_path):
         Cassette.load(path)
 
 
+@pytest.mark.parametrize("bad", ["{}", "[1]", "5", '{"fingerprint": ["x"]}'])
+@pytest.mark.parametrize("last", [False, True])
+def test_json_line_that_is_not_an_entry_raises(tmp_path, bad, last):
+    path = tmp_path / "run.cassette.json"
+    lines = [json.dumps(_entry(0)), bad] + ([] if last else [json.dumps(_entry(1))])
+    text = "\n".join(lines)  # a last line without a newline still has to be an entry
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{path.name}: line 2 is not a cassette entry"):
+        Cassette.load(path)
+
+
+@pytest.mark.parametrize("entries", [[{}], [[1]], 5, [{"fingerprint": "x", "request": {}}]])
+def test_legacy_entry_that_is_not_an_entry_raises(tmp_path, entries):
+    path = tmp_path / "run.cassette.json"
+    if isinstance(entries, list):
+        entries = [_entry(0)] + entries
+    path.write_text(json.dumps({"entries": entries}, indent=2), encoding="utf-8")
+    expected = "entry 2 is not a cassette entry" if isinstance(entries, list) else '"entries" is not a list'
+    with pytest.raises(ValueError, match=f"{path.name}: {expected}"):
+        Cassette.load(path)
+
+
 def test_legacy_cassette_loads_and_is_rewritten_as_json_lines(tmp_path):
     path = tmp_path / "run.cassette.json"
     legacy = {"entries": [_entry(0), _entry(1)]}

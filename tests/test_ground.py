@@ -259,11 +259,21 @@ def test_deterministic_across_runs(corpus):
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in DATA_DIR.glob("*.lp")))
 def test_expired_deadline_raises(corpus, name):
-    # The deadline is read before every probe, so even a program that
-    # grounds in a few milliseconds stops at its first rule body.
+    # The deadline is read for every fact row and before every probe, so even
+    # a program that grounds in a few milliseconds stops at its first fact.
     program = parse_program(corpus[name])
     with pytest.raises(GroundTimeout):
         ground_program(program, deadline=time.monotonic() - 1.0)
+
+
+def test_deadline_holds_in_fact_expansion():
+    # One pooled fact of 80^3 rows takes seconds to expand without a check.
+    pool = ";".join(map(str, range(80)))
+    program = parse_program(f"p({pool},{pool},{pool}).")
+    start = time.monotonic()
+    with pytest.raises(GroundTimeout):
+        ground_program(program, deadline=start + 0.5)
+    assert time.monotonic() - start < 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,22 @@ def test_extraction_prompt_is_template_plus_story(stories):
     assert "<story>" not in prompt
 
 
+def test_placeholder_text_in_a_story_is_left_as_written(stories, scripts):
+    # The template is filled in one pass, so a story's own "<constants>" or
+    # "<predicates>" is neither filled in nor taken for a missing input.
+    story = stories["against_grain"]["story"]
+    odd = "A note reads <constants> and <predicates>.\n"
+    constants = parse_constants(FORMATTED_CONSTANTS)
+    predicates = parse_predicates("match(E, P, W)", constants)
+    for stage in (Stage.CONSTANT_EXTRACTION, Stage.PREDICATE_GENERATION, Stage.CONSTRAINT_RULES):
+        plain = build_prompt(stage, story=story, constants=constants, predicates=predicates)
+        prompt = build_prompt(stage, story=odd + story, constants=constants, predicates=predicates)
+        assert prompt.count(odd) == 1
+        assert prompt.replace(odd, "") == plain
+    trace = run_pipeline(odd + story, backend=ScriptedBackend(scripts["against_grain"]))
+    assert trace.outcome == PipelineOutcome(PipelineOutcome.ASSEMBLED)
+
+
 def test_rule_prompt_has_constants_and_predicates_but_no_story():
     constants = parse_constants(FORMATTED_CONSTANTS)
     predicates = parse_predicates("match(E, P, W)", constants)
@@ -617,6 +633,17 @@ def test_bad_rule_syntax_fails_the_rule_stage(stories, scripts):
     assert trace.outcome == PipelineOutcome(
         PipelineOutcome.STAGE_PARSE_FAILURE, Stage.GENERATE_RULES
     )
+
+
+def test_non_ascii_digit_in_a_constraint_fails_the_constraint_stage(stories, scripts):
+    # "²" is a digit to str.isdigit() but not to int(): a syntax error, not a crash.
+    story = stories["against_grain"]["story"]
+    responses = scripts["against_grain"][:-1] + ["X=² :- q(X)."]
+    trace = run_pipeline(story, backend=ScriptedBackend(responses))
+    assert trace.outcome == PipelineOutcome(
+        PipelineOutcome.STAGE_PARSE_FAILURE, Stage.CONSTRAINT_RULES
+    )
+    assert "unexpected character '²'" in trace.records[-1].parse_error
 
 
 def test_trace_json_is_deterministic_and_timeless(stories, scripts):

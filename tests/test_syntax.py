@@ -137,6 +137,7 @@ def test_strings_may_contain_syntax_characters():
         "p(a).",  # unquoted symbolic constant
         "p(1)",  # missing terminating period
         'p("unterminated).',
+        "p(²).",  # a digit to str.isdigit(), but not to int()
     ],
 )
 def test_rejected_constructs(text):
