@@ -20,8 +20,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Protocol
 
-import requests
-
 
 @dataclass(frozen=True)
 class CompletionRequest:
@@ -359,6 +357,10 @@ class LiveBackend:
     """
 
     def __init__(self, config: GatewayConfig | None = None, session=None):
+        # requests is imported here and in `complete`, not at module level:
+        # it is most of the package's import time, and only this class uses it.
+        import requests
+
         self.config = config or GatewayConfig.from_env()
         self._session = session or requests.Session()
         self._semaphore = threading.BoundedSemaphore(self.config.max_in_flight)
@@ -421,6 +423,8 @@ class LiveBackend:
             raise TransportError(f"malformed completion response: {exc}") from exc
 
     def complete(self, request: CompletionRequest) -> str:
+        import requests
+
         key = os.environ.get(self.config.api_key_env)
         if not key:
             raise TransportError(

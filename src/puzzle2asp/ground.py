@@ -1,14 +1,17 @@
-"""Grounding: expand a validated fragment program into facts, choices, nogoods.
+"""Grounding: expand a validated fragment program into facts, choices, nogoods, groups.
 
 Because the fragment has no recursion and every test-rule head comparison is
 ground once the body is bound, every violated test-rule instance reduces to a
 plain nogood over the chosen atoms in its body.  Every candidate atom appears
 once in ``atoms``, in :func:`atom_sort_key` order, and its id is its position
-there.  The solver then only ever deals with three ground objects:
+there.  The solver then only ever deals with four ground objects:
 
 * ``facts`` — ground atoms that hold in every model,
 * ``choices`` — pick exactly k of the listed candidate ids,
-* ``nogoods`` — ids of candidate atoms that must not be jointly true.
+* ``nogoods`` — ids of candidate atoms that must not be jointly true,
+* ``groups`` — ids of candidate atoms of which at most one may be true.  A
+  group stands for the binary nogood of each pair of its members, and
+  :meth:`GroundProgram.expanded_nogoods` lists those pairs with ``nogoods``.
 
 Choice bodies, choice conditions and test bodies are each compiled once into
 a join plan: the atoms in written order, each comparison right after the atom
@@ -38,7 +41,14 @@ plan also does less work per instance:
   variables of the two atoms position by position maps its body comparisons
   and its set of heads onto themselves.  Its instances then come in mirror
   pairs that give the same nogood, so the second atom only matches rows whose
-  id is at least the first row's.
+  id is at least the first row's.  The rules of the next bullet, the
+  uniqueness rule among them, skip the join altogether.
+* a symmetric ``k=0`` rule that says "at most one row per key", such as the
+  uniqueness rule or the sudoku row, column and box rules, is not joined at
+  all (see `_clique`).  Its violated instances are exactly the pairs of
+  distinct rows that agree on the shared positions, the body equalities and
+  a head, so each head buckets the predicate's rows by those values, and
+  every bucket of two or more rows becomes one group.
 
 A rule is statically error-free when, given the value types of the extension
 columns its variables are bound from, every comparison, head and compound
@@ -171,21 +181,39 @@ class Nogood:
     atoms: tuple[int, ...]
 
 
+def _in_order(nogoods) -> tuple[Nogood, ...]:
+    """Distinct ascending id tuples as nogoods in (len, ids) order."""
+    ordered = sorted(nogoods)
+    ordered.sort(key=len)  # stable, so ids order within each length
+    return tuple(map(Nogood, ordered))
+
+
 @dataclass(frozen=True)
 class GroundProgram:
     facts: frozenset[GAtom]
     atoms: tuple[GAtom, ...]  # every candidate once, in atom_sort_key order
     choices: tuple[GroundChoice, ...]
     nogoods: tuple[Nogood, ...]
+    # at most one atom of each group may be true; ascending ids, sorted
+    groups: tuple[tuple[int, ...], ...]
+
+    def expanded_nogoods(self) -> tuple[Nogood, ...]:
+        """`nogoods` and every pair of every group, deduplicated, in (len,
+        ids) order: the nogoods the program stands for."""
+        merged = {nogood.atoms for nogood in self.nogoods}
+        for group in self.groups:
+            merged.update(itertools.combinations(group, 2))
+        return _in_order(merged)
 
     def dump(self) -> str:
-        """Canonical text form: FACT / CHOICE / NOGOOD lines."""
+        """Canonical text form: FACT / CHOICE / NOGOOD lines, with every group
+        expanded into the binary nogoods it stands for."""
         lines = [f"FACT {a.render()}" for a in sorted(self.facts, key=atom_sort_key)]
         names = [a.render() for a in self.atoms]
         for choice in self.choices:
             inner = ", ".join(names[i] for i in choice.candidates)
             lines.append(f"CHOICE k={choice.k} [{inner}]")
-        for nogood in self.nogoods:
+        for nogood in self.expanded_nogoods():
             inner = ", ".join(names[i] for i in nogood.atoms)
             lines.append(f"NOGOOD [{inner}]")
         return "".join(line + "\n" for line in lines)
@@ -474,6 +502,62 @@ def _symmetric(rule: TestRule) -> bool:
     )
 
 
+def _clique(rule: TestRule) -> tuple[list[Term], list[Term]] | None:
+    """The bucket keys of a rule that says "at most one row per key", or None.
+
+    Such a rule is a ``k=0`` rule that `_symmetric` accepts, whose body
+    comparisons are mirror equalities and one ``!=`` guard, and whose heads
+    are all mirror equalities.  A mirror equality is ``f(X̄)=f(Ȳ)``: one side
+    reads only the first atom's variables and the other is its swap image.
+    The guard compares a variable or a tuple of variables of the first atom
+    with its swap image.  The shared positions, the guard's positions and
+    the positions of a head that is a variable or a tuple of variables must
+    cover every argument position.  Two rows that agree on the shared
+    positions, every body equality and a head then violate the rule exactly
+    when they differ, which is exactly when the guard holds; so the rule's
+    nogoods for that head are every pair of the rows that agree on its key.
+
+    Returns the key terms over the first atom's variables: the shared
+    variables and one side of each body equality, then one side of each head.
+    """
+    if rule.k != 0 or not _symmetric(rule):
+        return None
+    first, second = (lit.args for lit in rule.body if isinstance(lit, Atom))
+    names = {t.name for t in first}
+    swap = {a.name: b for a, b in zip(first + second, second + first)}
+
+    def mirrored(comp: Comparison) -> Term | None:
+        """The side over the first atom's variables, if the other is its swap image."""
+        for side, other in ((comp.lhs, comp.rhs), (comp.rhs, comp.lhs)):
+            if set(term_variables(side)) <= names and _renamed(side, swap) == other:
+                return side
+        return None
+
+    def positions(side: Term) -> set[int] | None:
+        """The positions of a variable or a tuple of variables, else None."""
+        terms = side.elements if isinstance(side, TupleTerm) else (side,)
+        if not all(isinstance(t, Variable) for t in terms):
+            return None
+        return {first.index(t) for t in terms}
+
+    keys = [a for a, b in zip(first, second) if a == b]
+    shared = {first.index(t) for t in keys}
+    guards = []
+    for comp in (lit for lit in rule.body if isinstance(lit, Comparison)):
+        side = mirrored(comp)
+        if side is None or comp.op not in ("=", "!="):
+            return None
+        (keys if comp.op == "=" else guards).append(side)
+    heads = [mirrored(head) if head.op == "=" else None for head in rule.heads]
+    guard = positions(guards[0]) if len(guards) == 1 else None
+    if guard is None or None in heads:
+        return None
+    covered = shared | guard
+    if any(len(covered | (positions(head) or set())) < len(first) for head in heads):
+        return None
+    return keys, heads
+
+
 class _AtomStep:
     """Match one body atom: look its rows up by key, then bind its new variables.
 
@@ -635,7 +719,7 @@ class _Grounder:
             extension.rows.append(atom.args)
             extension.atoms[atom.args] = aid
 
-        return GroundProgram(frozenset(facts), atoms, choices, self._ground_tests())
+        return GroundProgram(frozenset(facts), atoms, choices, *self._ground_tests())
 
     # -- facts
 
@@ -660,14 +744,18 @@ class _Grounder:
             for row in itertools.product(*pools):
                 self._check_deadline()
                 rows.add(row)
-        # Making the atoms takes several times longer than the product, so it
-        # checks the deadline too.
+        # Making the atoms and sorting the rows each take several times longer
+        # than the product, so they check the deadline too.
+        def row_key(row: tuple[GroundValue, ...]) -> tuple:
+            self._check_deadline()
+            return _row_key(row)
+
         facts: set[GAtom] = set()
         for pred, rows in rows_by_pred.items():
             for row in rows:
                 self._check_deadline()
                 facts.add(GAtom(pred, row))
-            self.extensions[pred] = _Extension(sorted(rows, key=_row_key))
+            self.extensions[pred] = _Extension(sorted(rows, key=row_key))
         return facts
 
     # -- rule plans
@@ -782,26 +870,29 @@ class _Grounder:
 
     # -- test rules
 
-    def _ground_tests(self) -> tuple[Nogood, ...]:
+    def _ground_tests(self) -> tuple[tuple[Nogood, ...], tuple[tuple[int, ...], ...]]:
+        """The nogoods and the groups of every test rule, each in canonical order."""
         nogoods: set[frozenset[int]] = set()
+        groups: set[tuple[int, ...]] = set()
         for index, rule in enumerate(self.program.rules):
             if isinstance(rule, TestRule):
-                self._ground_test(rule, index, nogoods)
-        # (len, ids) order: sort by ids, then stably by length.
-        ordered = sorted(map(tuple, map(sorted, nogoods)))
-        ordered.sort(key=len)
-        return tuple(map(Nogood, ordered))
+                self._ground_test(rule, index, nogoods, groups)
+        return _in_order(map(tuple, map(sorted, nogoods))), tuple(sorted(groups))
 
-    def _ground_test(self, rule: TestRule, index: int, nogoods: set[frozenset[int]]) -> None:
+    def _ground_test(self, rule: TestRule, index: int, nogoods: set, groups: set) -> None:
         atoms = [lit for lit in rule.body if isinstance(lit, Atom)]
         comparisons = [lit for lit in rule.body if isinstance(lit, Comparison)]
         error_free = self._error_free(atoms, comparisons + list(rule.heads))
-        # Only chosen rows have the ids an ordered step compares.
+        # Only chosen rows have the ids an ordered step compares and a group holds.
         symmetric = (
             error_free
             and _symmetric(rule)
             and self.extensions[atoms[0].predicate].atoms is not None
         )
+        clique = _clique(rule) if symmetric else None
+        if clique is not None:
+            self._group(atoms[0], *clique, groups)
+            return
         chosen: list[int] = []
 
         def violated(binding: Binding) -> None:
@@ -827,6 +918,19 @@ class _Grounder:
                     violated(binding)
 
             self._plan(rule.body, index, error_free, counted, chosen)({})
+
+    def _group(self, atom: Atom, keys: list[Term], heads: list[Term], groups: set) -> None:
+        """Add the groups of a rule `_clique` accepts: for each head, the ids
+        of every two or more rows that agree on the key and that head."""
+        extension = self.extensions[atom.predicate]
+        names = [term.name for term in atom.args]
+        for head in heads:
+            key = _native_tuple(keys + [head])
+            buckets: dict[tuple, list[int]] = {}
+            for row in extension.rows:  # id order, so each bucket ascends
+                self._check_deadline()
+                buckets.setdefault(key(dict(zip(names, row))), []).append(extension.atoms[row])
+            groups.update(tuple(ids) for ids in buckets.values() if len(ids) > 1)
 
 
 def ground_program(program: Program, deadline: float | None = None) -> GroundProgram:

@@ -12,10 +12,14 @@ choice of each atom it passes.  Nogoods are checked only when one of their
 atoms becomes true: a false atom satisfies its nogoods, so it can neither
 complete nor shorten one.  A binary nogood {a, b} is kept as an implication
 list: b sits in ``conflicts[a]`` and a in ``conflicts[b]``, so a true atom
-walks its list and forces each undecided partner false.  Every other nogood
-(empty, unit, ternary or larger) is scanned from its members.  Almost every
-ground nogood is binary, so the scan path is rare.  Atoms forced by a check
-join the trail and are walked in turn, and there are three forcing rules:
+walks its list and forces each undecided partner false.  A group (at most
+one of its atoms true) stands for the binary nogood of each pair of its
+members, so ``conflicts[a]`` is the ascending union of a's binary partners
+and the other members of a's groups: the list the expanded pairs would
+give.  Every other nogood (empty, unit, ternary or larger) is scanned from
+its members.  Almost every ground nogood is binary or grouped, so the scan
+path is rare.  Atoms forced by a check join the trail and are walked in
+turn, and there are three forcing rules:
 
 * a nogood with all but one atom true forces the remaining atom false;
 * a choice that already has k true candidates forces the rest false;
@@ -89,7 +93,8 @@ def check_model(g: GroundProgram, atoms: set[GAtom] | frozenset[GAtom]) -> Model
     """Verify a candidate atom set against facts, cardinalities, and nogoods.
 
     Reports the first violation found, scanning facts, then unknown atoms,
-    then choices in program order, then nogoods in canonical order.
+    then choices in program order, then the nogoods of
+    `GroundProgram.expanded_nogoods` in their (len, ids) order.
     """
     for fact in sorted(g.facts - set(atoms), key=atom_sort_key):
         return ModelCheck(False, f"missing fact {fact.render()}")
@@ -104,10 +109,18 @@ def check_model(g: GroundProgram, atoms: set[GAtom] | frozenset[GAtom]) -> Model
                 f"choice {index} (rule {choice.rule_index}) selects "
                 f"{true_count} of its candidates, expected exactly {choice.k}",
             )
-    for nogood in g.nogoods:
-        if all(chosen[i] for i in nogood.atoms):
-            inner = ", ".join(g.atoms[i].render() for i in nogood.atoms)
-            return ModelCheck(False, f"nogood violated: [{inner}]")
+    # The first violated expanded nogood is the least violated one in (len,
+    # ids) order.  The least pair a group holds of its true members is its
+    # two smallest, so the groups need not be expanded.
+    violated = [n.atoms for n in g.nogoods if all(chosen[i] for i in n.atoms)]
+    for group in g.groups:
+        true = [i for i in group if chosen[i]]
+        if len(true) > 1:
+            violated.append(tuple(true[:2]))
+    if violated:
+        first = min(violated, key=lambda ids: (len(ids), ids))
+        inner = ", ".join(g.atoms[i].render() for i in first)
+        return ModelCheck(False, f"nogood violated: [{inner}]")
     return ModelCheck(True)
 
 
@@ -144,20 +157,24 @@ class _Engine:
             for aid in choice.candidates:
                 self.atom_choices[aid].append(ci)
 
-        # binary nogoods as implication lists; the rest by their members
-        self.conflicts: list[list[int]] = [[] for _ in range(n)]
+        # binary nogoods and groups as implication lists; the rest by their members
+        partners: list[set[int]] = [set() for _ in range(n)]
         self.nogood_members: list[tuple[int, ...]] = []
         self.atom_nogoods: list[list[int]] = [[] for _ in range(n)]
         for nogood in g.nogoods:
             if len(nogood.atoms) == 2:
                 a, b = nogood.atoms
-                self.conflicts[a].append(b)
-                self.conflicts[b].append(a)
+                partners[a].add(b)
+                partners[b].add(a)
                 continue
             gi = len(self.nogood_members)
             self.nogood_members.append(nogood.atoms)
             for aid in nogood.atoms:
                 self.atom_nogoods[aid].append(gi)
+        for group in g.groups:
+            for aid in group:
+                partners[aid].update(group)
+        self.conflicts = [sorted(others - {aid}) for aid, others in enumerate(partners)]
 
         self.facts = g.facts
 

@@ -142,20 +142,24 @@ def _ascending(seq) -> bool:
 def decoded(g: GroundProgram):
     """`g` as `(facts, choices, nogoods)` in `oracle_ground`'s shapes.
 
-    Candidate and nogood ids are mapped back to atoms through `g.atoms`.
-    Asserts the atom table invariants on the way: `g.atoms` is strictly
-    increasing under `atom_sort_key` and is exactly the union of the
-    candidates, and every candidate and nogood tuple is strictly ascending.
+    Candidate and nogood ids are mapped back to atoms through `g.atoms`, and
+    each group stands for the binary nogoods of its pairs.  Asserts the atom
+    table invariants on the way: `g.atoms` is strictly increasing under
+    `atom_sort_key` and is exactly the union of the candidates, every
+    candidate, nogood and group tuple is strictly ascending, groups are
+    sorted and hold two or more ids each.
     """
     assert _ascending([atom_sort_key(a) for a in g.atoms])
     assert {i for c in g.choices for i in c.candidates} == set(range(len(g.atoms)))
     assert all(_ascending(c.candidates) for c in g.choices)
     assert all(_ascending(n.atoms) for n in g.nogoods)
+    assert all(len(group) >= 2 and _ascending(group) for group in g.groups)
+    assert _ascending(g.groups)
     choices = {
         (c.rule_index, c.binding, tuple(g.atoms[i] for i in c.candidates), c.k)
         for c in g.choices
     }
-    nogoods = {frozenset(g.atoms[i] for i in n.atoms) for n in g.nogoods}
+    nogoods = {frozenset(g.atoms[i] for i in n.atoms) for n in g.expanded_nogoods()}
     return set(g.facts), choices, nogoods
 
 
@@ -548,6 +552,59 @@ def _renamed(term, names):
     return term
 
 
+def _self_join_domain(rng):
+    """Column kinds and the rules of a chosen predicate ``c`` over them.
+
+    One domain fact per column, of 1-3 values, and one choice rule that
+    picks ``c`` rows: either k of all of them, or k per first-column value.
+    """
+    kinds = [rng.choice(("int", "int", "str")) for _ in range(rng.randint(1, 3))]
+    rules = []
+    for i, kind in enumerate(kinds):
+        pool = [1, 2, 3, 4] if kind == "int" else ["a", "b", "c"]
+        values = sorted(rng.sample(pool, rng.choice([1, 2, 3, 3])))
+        rules.append(Fact(f"d{i}", (tuple(_const(v) for v in values),)))
+    head = Atom("c", tuple(Variable(f"X{i}") for i in range(len(kinds))))
+    conditions = tuple(Atom(f"d{i}", (Variable(f"X{i}"),)) for i in range(len(kinds)))
+    body = ()
+    if len(kinds) > 1 and rng.random() < 0.5:
+        body, conditions = conditions[:1], conditions[1:]  # one choice per first value
+    rules.append(ChoiceRule(head, conditions, rng.choice([1, 1, 2]), body))
+    return kinds, rules
+
+
+def _written(rng, lhs, op, rhs):
+    """The comparison with either side first."""
+    if rng.random() < 0.5:
+        return Comparison(rhs, _MIRRORED[op], lhs)
+    return Comparison(lhs, op, rhs)
+
+
+def _side_term(rng, kinds, side, i):
+    """A term of column i's type over one atom's variables `side`."""
+    ints = [j for j, kind in enumerate(kinds) if kind == "int"]
+    if kinds[i] == "str" or rng.random() < 0.4:
+        return side[i]
+    return rng.choice([
+        Arith("+", side[i], IntConst(rng.randint(1, 2))),
+        Arith("/", Arith("-", side[i], IntConst(1)), IntConst(2)),
+        Arith("+", side[i], side[rng.choice(ints)]),
+    ])
+
+
+def _self_join_atoms(rng, kinds, share):
+    """The variables of ``c(A1,B1,..)`` and ``c(A2,B2,..)``, and their swap.
+
+    With probability `share`, one position holds the same variable in both.
+    """
+    letters = "ABC"[: len(kinds)]
+    shared = {rng.choice(letters)} if len(kinds) > 1 and rng.random() < share else set()
+    first = [Variable(x if x in shared else x + "1") for x in letters]
+    second = [Variable(x if x in shared else x + "2") for x in letters]
+    swap = {v.name: w for v, w in zip(first + second, second + first)}
+    return first, second, swap
+
+
 def symmetric_program(rng):
     """A small program whose test rules join one chosen predicate with itself.
 
@@ -560,63 +617,39 @@ def symmetric_program(rng):
     instance can pair a row with itself and give a unit nogood.  Comparisons
     are written with either side first, and every rule is well typed.
     """
-    kinds = [rng.choice(("int", "int", "str")) for _ in range(rng.randint(1, 3))]
+    kinds, rules = _self_join_domain(rng)
     ints = [i for i, kind in enumerate(kinds) if kind == "int"]
-    rules = []
-    for i, kind in enumerate(kinds):
-        pool = [1, 2, 3, 4] if kind == "int" else ["a", "b", "c"]
-        values = sorted(rng.sample(pool, rng.choice([1, 2, 3, 3])))
-        rules.append(Fact(f"d{i}", (tuple(_const(v) for v in values),)))
-    head = Atom("c", tuple(Variable(f"X{i}") for i in range(len(kinds))))
-    conditions = tuple(Atom(f"d{i}", (Variable(f"X{i}"),)) for i in range(len(kinds)))
-    body = ()
-    if len(kinds) > 1 and rng.random() < 0.5:
-        body, conditions = conditions[:1], conditions[1:]  # one choice per first value
-    rules.append(ChoiceRule(head, conditions, rng.choice([1, 1, 2]), body))
 
     for _ in range(rng.randint(1, 3)):
-        letters = "ABC"[: len(kinds)]
-        shared = {rng.choice(letters)} if len(kinds) > 1 and rng.random() < 0.3 else set()
-        first = [Variable(x if x in shared else x + "1") for x in letters]
-        second = [Variable(x if x in shared else x + "2") for x in letters]
-        swap = {v.name: w for v, w in zip(first + second, second + first)}
-
-        def written(lhs, op, rhs):
-            if rng.random() < 0.5:
-                return Comparison(rhs, _MIRRORED[op], lhs)
-            return Comparison(lhs, op, rhs)
-
-        def side_term(side, i):
-            """A term of column i's type over one atom's variables."""
-            if kinds[i] == "str" or rng.random() < 0.4:
-                return side[i]
-            return rng.choice([
-                Arith("+", side[i], IntConst(rng.randint(1, 2))),
-                Arith("/", Arith("-", side[i], IntConst(1)), IntConst(2)),
-                Arith("+", side[i], side[rng.choice(ints)]),
-            ])
+        first, second, swap = _self_join_atoms(rng, kinds, 0.3)
 
         def comparison():
             """Over one atom's variables and a constant, or across both atoms."""
             i = rng.randrange(len(kinds))
             side, other = rng.choice(((first, second), (second, first)))
-            lhs = side_term(side, i)
+            lhs = _side_term(rng, kinds, side, i)
             if kinds[i] == "str":
                 rhs = rng.choice([StrConst(rng.choice("abc")), other[i]])
-                return written(lhs, rng.choice(["=", "!="]), rhs)
-            rhs = rng.choice([IntConst(rng.randint(1, 5)), side_term(other, rng.choice(ints))])
-            return written(lhs, rng.choice(INT_OPS), rhs)
+                return _written(rng, lhs, rng.choice(["=", "!="]), rhs)
+            rhs = rng.choice(
+                [IntConst(rng.randint(1, 5)), _side_term(rng, kinds, other, rng.choice(ints))]
+            )
+            return _written(rng, lhs, rng.choice(INT_OPS), rhs)
 
         def symmetric(count):
             """Comparisons that each map onto themselves or come with their mirror."""
             comps = []
             for _ in range(count):
                 if rng.random() < 0.4:
-                    term = side_term(first, rng.randrange(len(kinds)))
-                    comps.append(written(term, rng.choice(["=", "!="]), _renamed(term, swap)))
+                    term = _side_term(rng, kinds, first, rng.randrange(len(kinds)))
+                    comps.append(
+                        _written(rng, term, rng.choice(["=", "!="]), _renamed(term, swap))
+                    )
                 else:
                     comp = comparison()
-                    mirror = written(_renamed(comp.lhs, swap), comp.op, _renamed(comp.rhs, swap))
+                    mirror = _written(
+                        rng, _renamed(comp.lhs, swap), comp.op, _renamed(comp.rhs, swap)
+                    )
                     comps += [comp, mirror]
             if rng.random() < 0.15:
                 comps.append(comparison())  # a near miss
@@ -625,10 +658,75 @@ def symmetric_program(rng):
         comps = symmetric(rng.randint(0, 2))
         if rng.random() < 0.6:
             if len(kinds) > 1:
-                comps.append(written(TupleTerm(tuple(first)), "!=", TupleTerm(tuple(second))))
+                comps.append(_written(rng, TupleTerm(tuple(first)), "!=", TupleTerm(tuple(second))))
             else:
-                comps.append(written(first[0], "!=", second[0]))
+                comps.append(_written(rng, first[0], "!=", second[0]))
         rng.shuffle(comps)
         atoms = (Atom("c", tuple(first)), Atom("c", tuple(second)))
         rules.append(TestRule(tuple(symmetric(1)), rng.choice([0, None]), atoms + tuple(comps)))
+    return Program(tuple(rules))
+
+
+# ---------------------------------------------------------------------------
+# Seeded at-most-one rules over one chosen predicate, and near misses
+# ---------------------------------------------------------------------------
+
+
+def clique_program(rng):
+    """A small program whose test rules mostly say "at most one row per key".
+
+    Each test rule has the body ``c(A1,B1,..), c(A2,B2,..)``, where a position
+    may hold one shared variable in both atoms, then mirror equalities
+    ``f(A1,..)=f(A2,..)`` and a guard ``(A1,..)!=(A2,..)`` over some of the
+    first atom's variables.  Its heads are mirror equalities and k=0.  The
+    guard covers every position a shared variable does not, except perhaps
+    that of a lone head that is a plain variable, and maybe more.  About one
+    rule in three misses by one thing: a guard position dropped, a second
+    guard, no guard, a guard over arithmetic, a one-sided comparison on
+    each atom, a ``!=`` head, or k=None.  Comparisons are written with
+    either side first, and every rule is well typed.
+    """
+    kinds, rules = _self_join_domain(rng)
+    positions = range(len(kinds))
+    for _ in range(rng.randint(1, 3)):
+        first, second, swap = _self_join_atoms(rng, kinds, 0.5)
+
+        def mirror(term, op="="):
+            return _written(rng, term, op, _renamed(term, swap))
+
+        sides = [
+            first[i] if rng.random() < 0.5 else _side_term(rng, kinds, first, i)
+            for i in (rng.randrange(len(kinds)) for _ in range(rng.randint(1, 2)))
+        ]
+        # a lone plain-variable head fixes its own position
+        skip = first.index(sides[0]) if len(sides) == 1 and sides[0] in first else None
+        guarded = [
+            i for i in positions
+            if (first[i] != second[i] and i != skip) or rng.random() < 0.2
+        ] or [rng.choice(positions)]
+        miss = rng.choice(["none"] * 14 + ["drop", "second", "unguarded", "arith", "onesided", "head", "k"])
+        if miss == "drop" and len(guarded) > 1:
+            guarded.remove(rng.choice(guarded))
+        guard = [first[i] for i in guarded]
+        comps = [
+            mirror(_side_term(rng, kinds, first, rng.randrange(len(kinds))))
+            for _ in range(rng.randint(0, 2))
+        ]
+        if miss == "arith" and kinds[guarded[0]] == "int":
+            comps.append(mirror(Arith("+", guard[0], IntConst(1)), "!="))
+        elif miss != "unguarded":
+            comps.append(mirror(guard[0] if len(guard) == 1 else TupleTerm(tuple(guard)), "!="))
+        if miss == "second":
+            comps.append(mirror(first[rng.randrange(len(kinds))], "!="))
+        if miss == "onesided":
+            i = rng.randrange(len(kinds))
+            op, value = ("<", IntConst(3)) if kinds[i] == "int" else ("=", StrConst("a"))
+            comps += [_written(rng, atom[i], op, value) for atom in (first, second)]
+        heads = [mirror(side) for side in sides]
+        if miss == "head":
+            heads.append(mirror(first[rng.randrange(len(kinds))], "!="))
+        rng.shuffle(comps)
+        atoms = (Atom("c", tuple(first)), Atom("c", tuple(second)))
+        k = None if miss == "k" else 0
+        rules.append(TestRule(tuple(heads), k, atoms + tuple(comps)))
     return Program(tuple(rules))

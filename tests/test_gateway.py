@@ -2,8 +2,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import asdict
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +15,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import puzzle2asp
 from puzzle2asp import gateway
 from puzzle2asp.gateway import (
     Cassette,
@@ -562,3 +567,16 @@ def test_build_backend_recording_wraps_live(tmp_path):
     assert isinstance(backend, RecordingBackend)
     assert isinstance(backend.inner, LiveBackend)
     assert backend.cassette.path == path
+
+
+def test_package_import_leaves_requests_unloaded():
+    # Only LiveBackend needs requests, and importing it costs more than the
+    # rest of the package together, so it is imported when a LiveBackend is made.
+    src = Path(puzzle2asp.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    check = "import sys, puzzle2asp; print('requests' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"

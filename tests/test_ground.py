@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -14,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR
-from oracles import decoded, ill_typed_program, oracle_ground, symmetric_program
+from oracles import (
+    clique_program,
+    decoded,
+    ill_typed_program,
+    oracle_ground,
+    symmetric_program,
+)
 
 import puzzle2asp
 from puzzle2asp import ground
@@ -266,6 +273,22 @@ def test_expired_deadline_raises(corpus, name):
         ground_program(program, deadline=time.monotonic() - 1.0)
 
 
+def test_deadline_holds_in_fact_sort(monkeypatch):
+    # The clock passes the deadline once the last fact atom is built, so only
+    # a check in the sort of the rows that follows can raise.
+    built = []
+
+    def counted_atom(predicate, args):
+        built.append(args)
+        return GAtom(predicate, args)
+
+    monkeypatch.setattr(ground, "GAtom", counted_atom)
+    monkeypatch.setattr(ground.time, "monotonic", lambda: 10.0 if len(built) == 3 else 0.0)
+    with pytest.raises(GroundTimeout):
+        ground_program(parse_program("p(1;2;3)."), deadline=1.0)
+    assert len(built) == 3
+
+
 def test_deadline_holds_in_fact_expansion():
     # One pooled fact of 80^3 rows takes seconds to expand without a check.
     pool = ";".join(map(str, range(80)))
@@ -437,7 +460,9 @@ def _ordered_probes(monkeypatch, text: str) -> int:
 
 
 def test_only_error_free_chosen_self_joins_are_ordered(monkeypatch, corpus):
-    assert _ordered_probes(monkeypatch, corpus["weight_loss"]) > 0
+    # weight_loss's uniqueness rule is a clique: it is grouped, not joined
+    assert _ordered_probes(monkeypatch, corpus["weight_loss"]) == 0
+    assert ground_program(parse_program(corpus["weight_loss"])).groups
     domain = "d(1;2;3).\n{c(X): d(X)}=1.\n"
     assert _ordered_probes(monkeypatch, domain + "{X1=X2}=0 :- c(X1), c(X2).") > 0
     # a self-join of a domain predicate has no ids to order by
@@ -447,6 +472,135 @@ def test_only_error_free_chosen_self_joins_are_ordered(monkeypatch, corpus):
     divided = "{X1=X2}=0 :- c(X1), c(X2), X1/X2>=0, X2/X1>=0."
     assert ground._symmetric(parse_program(divided).rules[0])
     assert _ordered_probes(monkeypatch, domain + divided) == 0
+
+
+# ---------------------------------------------------------------------------
+# At-most-one rules: grouped by key, not joined pair by pair
+# ---------------------------------------------------------------------------
+
+CLIQUE_RULES = {
+    "uniqueness": SYMMETRIC_RULES["weight_loss"],
+    "sudoku-row": "{N1=N2}=0 :- assign(Ir,Ic1,N1), assign(Ir,Ic2,N2), (Ic1,N1)!=(Ic2,N2).",
+    "sudoku-box": (
+        "{N1=N2}=0 :- assign(Ir1,Ic1,N1), assign(Ir2,Ic2,N2), "
+        "((Ir1-1)/3,(Ic1-1)/3)=((Ir2-1)/3,(Ic2-1)/3), (Ir1,Ic1,N1)!=(Ir2,Ic2,N2)."
+    ),
+    "offset-cell": (
+        "{N1=N2}=0 :- assign(Ir1,Ic1,N1), assign(Ir2,Ic2,N2), Ir1\\3=Ir2\\3, Ic1\\3=Ic2\\3, "
+        "(Ir1,Ic1,N1)!=(Ir2,Ic2,N2)."
+    ),
+    # given equal columns, the rows differ exactly when the atoms do
+    "queens-column": SYMMETRIC_RULES["queens-column"],
+    "reversed-sides": "{N2=N1}=0 :- assign(Ir,Ic1,N1), assign(Ir,Ic2,N2), (Ic2,N2)!=(Ic1,N1), Ic2/3=Ic1/3.",
+    "tuple-head": "{(A1,B1)=(A2,B2)}=0 :- p(A1,B1,C1), p(A2,B2,C2), C1!=C2.",
+    "arithmetic-head": "{A1+B1=A2+B2}=0 :- p(A1,B1), p(A2,B2), (A1,B1)!=(A2,B2).",
+}
+
+NOT_CLIQUE_RULES = {
+    "no-guard": "{N1=N2}=0 :- assign(Ir,Ic1,N1), assign(Ir,Ic2,N2).",
+    "one-sided-comparison": (
+        "{N1=N2}=0 :- assign(Ir,Ic1,N1), assign(Ir,Ic2,N2), (Ic1,N1)!=(Ic2,N2), Ic1<5, Ic2<5."
+    ),
+    "swapped-pair": (
+        "{N1=N2}=0 :- assign(Ir1,Ic1,N1), assign(Ir2,Ic2,N2), Ir1=Ic1, Ir2=Ic2, "
+        "(Ir1,Ic1,N1)!=(Ir2,Ic2,N2)."
+    ),
+    "head-not-equal": "{N1!=N2}=0 :- assign(Ir,Ic1,N1), assign(Ir,Ic2,N2), (Ic1,N1)!=(Ic2,N2).",
+    "head-not-mirrored": "{A1<B2; A2<B1}=0 :- p(A1,B1), p(A2,B2), (A1,B1)!=(A2,B2).",
+    "k-none": "N1=N2 :- assign(Ir,Ic1,N1), assign(Ir,Ic2,N2), (Ic1,N1)!=(Ic2,N2).",
+    "counted-k": SYMMETRIC_RULES["weight_loss"].replace("}=0", "}=1"),
+    "guard-leaves-a-position": "{N1=N2}=0 :- assign(Ir1,Ic1,N1), assign(Ir2,Ic2,N2), (Ir1,N1)!=(Ir2,N2).",
+    "head-fixes-no-position": "{N1/2=N2/2}=0 :- assign(Ir,Ic1,N1), assign(Ir,Ic2,N2), Ic1!=Ic2.",
+    "second-head-uncovered": "{N1=N2; Ic1=Ic2}=0 :- assign(Ir,Ic1,N1), assign(Ir,Ic2,N2), Ic1!=Ic2.",
+    "two-guards": "{N1=N2}=0 :- assign(Ir,Ic1,N1), assign(Ir,Ic2,N2), Ic1!=Ic2, N1!=N2.",
+    "arithmetic-guard": "{N1=N2}=0 :- assign(Ir,Ic1,N1), assign(Ir,Ic2,N2), (Ic1+1,N1)!=(Ic2+1,N2).",
+    "asymmetric": "{N1=N2}=0 :- assign(Ir1,Ic1,N1), assign(Ir2,Ic2,N2), (Ir1,Ic1,N1)!=(Ir2,Ic2,N2), Ir1<Ir2.",
+}
+
+
+@pytest.mark.parametrize("text", CLIQUE_RULES.values(), ids=CLIQUE_RULES)
+def test_clique_rule_is_detected(text):
+    (rule,) = parse_program(text).rules
+    assert ground._clique(rule) is not None
+
+
+@pytest.mark.parametrize("text", NOT_CLIQUE_RULES.values(), ids=NOT_CLIQUE_RULES)
+def test_non_clique_rule_is_not_detected(text):
+    (rule,) = parse_program(text).rules
+    assert ground._clique(rule) is None
+
+
+def _grouped_rules(monkeypatch) -> list:
+    """Patch the grounder to list the rule body atom of every grouped rule."""
+    grouped = []
+    group = ground._Grounder._group
+
+    def counted(self, atom, *args):
+        grouped.append(atom)
+        return group(self, atom, *args)
+
+    monkeypatch.setattr(ground._Grounder, "_group", counted)
+    return grouped
+
+
+# The uniqueness rule of each logic puzzle, and the sudoku row, column, box
+# and offset rules and the queens column rule.  The sudoku_x diagonal rules
+# (``Ir1=Ic1, Ir2=Ic2``) and the knight and queens diagonal rules are not.
+CORPUS_CLIQUES = {
+    "against_grain": 1, "anti_knight": 3, "foodie": 1, "jobs": 0, "offset_sudoku": 4,
+    "queens8": 1, "shidoku4": 3, "sudoku9": 3, "sudoku9_zero": 3, "sudoku_x": 3,
+    "weight_loss": 1, "winter_olympics": 1,
+}
+
+
+def test_corpus_clique_rules_are_grouped(monkeypatch, corpus):
+    assert sorted(CORPUS_CLIQUES) == sorted(corpus)
+    grouped = _grouped_rules(monkeypatch)
+    for name in sorted(corpus):
+        del grouped[:]
+        g = ground_program(parse_program(corpus[name]))
+        assert len(grouped) == CORPUS_CLIQUES[name], name
+        assert bool(g.groups) == bool(grouped)
+    assert sum(CORPUS_CLIQUES.values()) == 24
+
+
+def test_groups_expand_into_the_pairs_they_stand_for():
+    # Each head buckets the 8 rows of c/3 by one column: 6 groups of 4 rows,
+    # 36 pairs.  Two rows that agree on two columns share two groups, so the
+    # distinct pairs are the 24 of rows that agree somewhere.
+    text = (
+        "d(0;1).\n{c(X,Y,Z): d(Y), d(Z)}=2 :- d(X).\n"
+        "{X1=X2; Y1=Y2; Z1=Z2}=0 :- c(X1,Y1,Z1), c(X2,Y2,Z2), (X1,Y1,Z1)!=(X2,Y2,Z2).\n"
+    )
+    g = ground_program(parse_program(text))
+    assert g.nogoods == ()
+    assert g.groups == ((0, 1, 2, 3), (0, 1, 4, 5), (0, 2, 4, 6), (1, 3, 5, 7), (2, 3, 6, 7), (4, 5, 6, 7))
+    disjoint = {(0, 7), (1, 6), (2, 5), (3, 4)}  # ids are 4X+2Y+Z
+    expected = [pair for pair in itertools.combinations(range(8), 2) if pair not in disjoint]
+    assert [nogood.atoms for nogood in g.expanded_nogoods()] == expected
+    assert_matches_oracle(text)
+
+
+def test_clique_programs_match_oracle(monkeypatch):
+    grouped = _grouped_rules(monkeypatch)
+    rules = 0
+    for seed in range(1500):
+        program = clique_program(random.Random(seed))
+        rules += sum(isinstance(rule, TestRule) for rule in program.rules)
+        assert decoded(ground_program(program)) == oracle_ground(program), seed
+    assert 0.5 * rules < len(grouped) < 0.9 * rules  # both paths are exercised
+
+
+def test_expired_deadline_during_grouping_raises(monkeypatch):
+    # The clock passes the deadline as the first clique rule starts grouping.
+    grouped = _grouped_rules(monkeypatch)
+    monkeypatch.setattr(ground.time, "monotonic", lambda: 10.0 if grouped else 0.0)
+    text = "d(1;2;3).\n{c(X,Y): d(Y)}=1 :- d(X).\n" + CLIQUE_RULES["queens-column"].replace(
+        "assign", "c"
+    )
+    with pytest.raises(GroundTimeout):
+        ground_program(parse_program(text), deadline=1.0)
+    assert len(grouped) == 1
 
 
 # SHA-256 over, for each seed, the dump of the grounded symmetric_program;

@@ -1,6 +1,7 @@
 """Model enumeration tests, checked against a generate-and-test oracle."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import time
@@ -8,7 +9,7 @@ import time
 import pytest
 
 from conftest import DATA_DIR
-from oracles import oracle_models, random_program
+from oracles import clique_program, oracle_models, random_program
 
 from puzzle2asp.ground import GAtom, ground_program
 from puzzle2asp.solve import (
@@ -166,6 +167,20 @@ SHARED_NOGOOD_PROGRAMS = [
         {2, 3},
     ),
 ]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DATA_DIR.glob("*.lp")))
+def test_conflicts_equal_the_expanded_pairs(corpus, name):
+    # Each atom's implication list is the one its binary nogoods would give
+    # if every group were expanded into pairs, so propagation order is kept.
+    g = ground_program(parse_program(corpus[name]))
+    expected: list[list[int]] = [[] for _ in g.atoms]
+    for nogood in g.expanded_nogoods():
+        if len(nogood.atoms) == 2:
+            a, b = nogood.atoms
+            expected[a].append(b)
+            expected[b].append(a)
+    assert _Engine(g, None, 10.0).conflicts == expected
 
 
 def test_counters_match_assignment_after_every_undo(monkeypatch):
@@ -353,3 +368,55 @@ def test_check_model_reports_violated_nogood(corpus):
     model.add(GAtom("match", ("Tabitha", 325, "ash")))
     verdict = check_model(g, model)
     assert not verdict.ok  # Bonita must pay 325
+
+
+# SHA-256 of `check_model(...).violation` for every single-atom flip of the
+# first two models of three corpus programs: each fact and candidate atom
+# toggled, and each choice's true candidate moved to another of its
+# candidates.  A toggle trips a fact or choice check first; a move keeps
+# every choice count, so it reaches the nogoods and names the first one
+# violated.  Computed before the grounder emitted at-most-one groups.
+FLIP_PROGRAMS = ("weight_loss", "sudoku9", "queens8")
+FLIP_VIOLATIONS = 3216
+FLIP_SHA256 = "821b31e30615de85c4766c37168cc6e504e0fd9a08b3b148d85c455d45ca4b4c"
+
+
+def test_check_model_violations_are_pinned(corpus):
+    digest = hashlib.sha256()
+    flipped_count = 0
+    for name in FLIP_PROGRAMS:
+        g = ground_program(parse_program(corpus[name]))
+        for model in enumerate_models(g, limit=2).models:
+            base = set(model.atoms)
+            flips = [base ^ {a} for a in sorted(g.facts, key=lambda a: a.render()) + list(g.atoms)]
+            for choice in g.choices:
+                (on,) = [g.atoms[i] for i in choice.candidates if g.atoms[i] in base]
+                flips += [base - {on} | {g.atoms[i]} for i in choice.candidates if g.atoms[i] != on]
+            for flipped in flips:
+                flipped_count += 1
+                digest.update(f"{check_model(g, flipped).violation}\n".encode())
+    assert flipped_count == FLIP_VIOLATIONS
+    assert digest.hexdigest() == FLIP_SHA256
+
+
+def test_check_model_names_the_first_expanded_nogood():
+    # check_model finds the first violated nogood without expanding the
+    # groups.  With the choices dropped, any set of candidates reaches the
+    # nogood check, and a group may hold three or more true atoms.
+    checked = 0
+    for seed in range(200):
+        for program in (clique_program(random.Random(seed)), random_program(random.Random(seed))):
+            g = dataclasses.replace(ground_program(program), choices=())
+            expanded = g.expanded_nogoods()
+            rng = random.Random(seed)
+            for _ in range(10):
+                atoms = set(g.facts) | {a for a in g.atoms if rng.random() < 0.5}
+                first = next(
+                    (n.atoms for n in expanded if all(g.atoms[i] in atoms for i in n.atoms)), None
+                )
+                expected = None
+                if first is not None:
+                    expected = "nogood violated: [" + ", ".join(g.atoms[i].render() for i in first) + "]"
+                    checked += 1
+                assert check_model(g, atoms).violation == expected, seed
+    assert checked > 1000
