@@ -39,10 +39,14 @@ plan also does less work per instance:
   uniqueness rule ``{E1=E2; P1=P2; W1=W2}=0 :- match(E1,P1,W1),
   match(E2,P2,W2), (E1,P1,W1)!=(E2,P2,W2).``, is symmetric when swapping the
   variables of the two atoms position by position maps its body comparisons
-  and its set of heads onto themselves.  Its instances then come in mirror
-  pairs that give the same nogood, so the second atom only matches rows whose
-  id is at least the first row's.  The rules of the next bullet, the
-  uniqueness rule among them, skip the join altogether.
+  and its set of heads onto themselves.  Comparisons are compared in a
+  canonical form (see `_canonical`): ``=``/``!=`` sides unordered, ``>`` as
+  ``<``, and the operands of each ``+``, ``*`` and ``|a-b|`` in a fixed
+  order, so the knight rule's ``|Ir1-Ir2|+|Ic1-Ic2|=3`` is its own image.
+  Its instances then come in mirror pairs that give the same nogood, so the
+  second atom only matches rows whose id is at least the first row's.  The
+  rules of the next bullet, the uniqueness rule among them, skip the join
+  altogether.
 * a symmetric ``k=0`` rule that says "at most one row per key", such as the
   uniqueness rule or the sudoku row, column and box rules, is not joined at
   all (see `_clique`).  Its violated instances are exactly the pairs of
@@ -181,11 +185,19 @@ class Nogood:
     atoms: tuple[int, ...]
 
 
-def _in_order(nogoods) -> tuple[Nogood, ...]:
-    """Distinct ascending id tuples as nogoods in (len, ids) order."""
+def _in_order(nogoods, check_deadline: Callable[[], None] = lambda: None) -> tuple[Nogood, ...]:
+    """Distinct ascending id tuples as nogoods in (len, ids) order.
+
+    `check_deadline` is called before each batch of 256 nogoods is made, the
+    first time right after the sort.
+    """
     ordered = sorted(nogoods)
     ordered.sort(key=len)  # stable, so ids order within each length
-    return tuple(map(Nogood, ordered))
+    made: list[Nogood] = []
+    for start in range(0, len(ordered), 256):
+        check_deadline()
+        made += map(Nogood, ordered[start : start + 256])
+    return tuple(made)
 
 
 @dataclass(frozen=True)
@@ -447,26 +459,57 @@ def _comparison_typed(comp: Comparison, types: dict[str, type | None]) -> bool:
 _NEGATED = {"=": "!=", "!=": "=", "<": ">=", ">": "<=", "<=": ">", ">=": "<"}
 
 
-def _renamed(term: Term, names: dict[str, Variable]) -> Term:
-    """`term` with each variable renamed through `names`."""
+def _term_order(term: Term) -> tuple:
+    """A total order on terms that does not depend on string hashing."""
+    if isinstance(term, IntConst):
+        return (0, term.value)
+    if isinstance(term, StrConst):
+        return (1, term.value)
+    if isinstance(term, Variable):
+        return (2, term.name)
+    if isinstance(term, Abs):
+        return (3, _term_order(term.inner))
+    if isinstance(term, TupleTerm):
+        return (4, tuple(map(_term_order, term.elements)))
+    return (5, term.op, _term_order(term.left), _term_order(term.right))
+
+
+def _canonical(term: Term, names: dict[str, Variable]) -> Term:
+    """`term` with each variable renamed through `names`, and with the operands
+    of each ``+``, each ``*`` and each ``|a-b|`` in `_term_order`.
+
+    ``a+b=b+a``, ``a*b=b*a`` and ``|a-b|=|b-a|`` hold for integers, the only
+    values a statically error-free rule computes with, so two terms with one
+    canonical form have one value.
+    """
     if isinstance(term, Variable):
         return names.get(term.name, term)
     if isinstance(term, Arith):
-        return Arith(term.op, _renamed(term.left, names), _renamed(term.right, names))
+        left, right = _canonical(term.left, names), _canonical(term.right, names)
+        if term.op in ("+", "*") and _term_order(right) < _term_order(left):
+            left, right = right, left
+        return Arith(term.op, left, right)
     if isinstance(term, Abs):
-        return Abs(_renamed(term.inner, names))
+        inner = _canonical(term.inner, names)
+        if (
+            isinstance(inner, Arith)
+            and inner.op == "-"
+            and _term_order(inner.right) < _term_order(inner.left)
+        ):
+            inner = Arith("-", inner.right, inner.left)
+        return Abs(inner)
     if isinstance(term, TupleTerm):
-        return TupleTerm(tuple(_renamed(t, names) for t in term.elements))
+        return TupleTerm(tuple(_canonical(t, names) for t in term.elements))
     return term
 
 
 def _normal_forms(comps, names: dict[str, Variable]) -> set[tuple]:
     """The comparisons renamed through `names`, in a form that ignores which
-    side is written first: ``A>B`` is ``B<A``, and ``=``/``!=`` sides are
-    unordered."""
+    side is written first: ``A>B`` is ``B<A``, ``=``/``!=`` sides are
+    unordered, and each side is in `_canonical` form."""
     forms = set()
     for comp in comps:
-        lhs, op, rhs = _renamed(comp.lhs, names), comp.op, _renamed(comp.rhs, names)
+        lhs, op, rhs = _canonical(comp.lhs, names), comp.op, _canonical(comp.rhs, names)
         if op in (">", ">="):
             lhs, op, rhs = rhs, "<" + op[1:], lhs
         forms.add((op, frozenset((lhs, rhs))) if op in ("=", "!=") else (op, lhs, rhs))
@@ -477,7 +520,7 @@ def _symmetric(rule: TestRule) -> bool:
     """True if the rule's body is two atoms of one predicate over plain
     variables that the position-by-position swap maps onto each other, and
     the swap also maps the body comparisons and the set of heads onto
-    themselves.
+    themselves, up to `_normal_forms`.
 
     Each atom's variables must be distinct; a variable in both atoms must
     sit at the same position, where the swap leaves it.  Only ``k=0`` and
@@ -527,9 +570,11 @@ def _clique(rule: TestRule) -> tuple[list[Term], list[Term]] | None:
     swap = {a.name: b for a, b in zip(first + second, second + first)}
 
     def mirrored(comp: Comparison) -> Term | None:
-        """The side over the first atom's variables, if the other is its swap image."""
+        """The side over the first atom's variables, if the other is its swap
+        image up to `_canonical` form."""
         for side, other in ((comp.lhs, comp.rhs), (comp.rhs, comp.lhs)):
-            if set(term_variables(side)) <= names and _renamed(side, swap) == other:
+            reads_first = set(term_variables(side)) <= names
+            if reads_first and _canonical(side, swap) == _canonical(other, {}):
                 return side
         return None
 
@@ -877,7 +922,16 @@ class _Grounder:
         for index, rule in enumerate(self.program.rules):
             if isinstance(rule, TestRule):
                 self._ground_test(rule, index, nogoods, groups)
-        return _in_order(map(tuple, map(sorted, nogoods))), tuple(sorted(groups))
+
+        def ascending():
+            # Ordering a large nogood set can take longer than the join that
+            # found it, so this conversion and `_in_order` check the deadline.
+            for n, nogood in enumerate(nogoods):
+                if not n % 256:
+                    self._check_deadline()
+                yield tuple(sorted(nogood))
+
+        return _in_order(ascending(), self._check_deadline), tuple(sorted(groups))
 
     def _ground_test(self, rule: TestRule, index: int, nogoods: set, groups: set) -> None:
         atoms = [lit for lit in rule.body if isinstance(lit, Atom)]

@@ -12,16 +12,19 @@ choice of each atom it passes.  Nogoods are checked only when one of their
 atoms becomes true: a false atom satisfies its nogoods, so it can neither
 complete nor shorten one.  A binary nogood {a, b} is kept as an implication
 list: b sits in ``conflicts[a]`` and a in ``conflicts[b]``, so a true atom
-walks its list and forces each undecided partner false.  A group (at most
-one of its atoms true) stands for the binary nogood of each pair of its
-members, so ``conflicts[a]`` is the ascending union of a's binary partners
-and the other members of a's groups: the list the expanded pairs would
-give.  Every other nogood (empty, unit, ternary or larger) is scanned from
-its members.  Almost every ground nogood is binary or grouped, so the scan
-path is rare.  Atoms forced by a check join the trail and are walked in
-turn, and there are three forcing rules:
+walks its list and forces each undecided partner false.  ``conflicts`` holds
+binary nogoods only.  A group (at most one of its atoms true) is never
+expanded into the pairs it stands for: each atom lists the groups that hold
+it, and a true atom walks each of them, forcing every undecided member false
+and failing on any other true member.  Set-up and memory are thus linear in
+the groups' total size, where the expanded pairs grow with the square of a
+group's size.  Every other nogood (empty, unit, ternary or larger) is
+scanned from its members.  Almost every ground nogood is binary or grouped,
+so the scan path is rare.  Atoms forced by a check join the trail and are
+walked in turn, and there are three forcing rules:
 
-* a nogood with all but one atom true forces the remaining atom false;
+* a nogood with all but one atom true forces the remaining atom false, and
+  a true member of a group forces the group's other members false;
 * a choice that already has k true candidates forces the rest false;
 * a choice whose undecided candidates are exactly the k still needed
   forces them all true.
@@ -157,24 +160,26 @@ class _Engine:
             for aid in choice.candidates:
                 self.atom_choices[aid].append(ci)
 
-        # binary nogoods and groups as implication lists; the rest by their members
-        partners: list[set[int]] = [set() for _ in range(n)]
+        # binary nogoods as implication lists, groups as they are, the rest by
+        # their members.  Binary nogoods come in ascending (a, b) order, so
+        # each list ascends: a's partners below it come before those above.
+        self.conflicts: list[list[int]] = [[] for _ in range(n)]
         self.nogood_members: list[tuple[int, ...]] = []
         self.atom_nogoods: list[list[int]] = [[] for _ in range(n)]
         for nogood in g.nogoods:
             if len(nogood.atoms) == 2:
                 a, b = nogood.atoms
-                partners[a].add(b)
-                partners[b].add(a)
+                self.conflicts[a].append(b)
+                self.conflicts[b].append(a)
                 continue
             gi = len(self.nogood_members)
             self.nogood_members.append(nogood.atoms)
             for aid in nogood.atoms:
                 self.atom_nogoods[aid].append(gi)
+        self.atom_groups: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
         for group in g.groups:
             for aid in group:
-                partners[aid].update(group)
-        self.conflicts = [sorted(others - {aid}) for aid, others in enumerate(partners)]
+                self.atom_groups[aid].append(group)
 
         self.facts = g.facts
 
@@ -245,12 +250,14 @@ class _Engine:
     def _propagate(self, head: int) -> bool:
         """Check every constraint of every trail atom from `head` on.
 
-        A true atom first walks its `conflicts` list: a true partner is a
-        conflict and an undecided one is forced false.  Its non-binary
-        nogoods are then scanned by `_nogood`, and the choices of every
-        atom, true or false, by `_choice`.
+        A true atom first walks its `conflicts` list and then each of its
+        groups: a true partner or other group member is a conflict, and an
+        undecided one is forced false.  Its non-binary nogoods are then
+        scanned by `_nogood`, and the choices of every atom, true or false,
+        by `_choice`.
         """
         trail, assignment, conflicts = self.trail, self.assignment, self.conflicts
+        atom_groups = self.atom_groups
         while head < len(trail):
             aid = trail[head]
             head += 1
@@ -262,6 +269,14 @@ class _Engine:
                     if value == _UNDEC:
                         self.stats.propagations += 1
                         self._set(other, _FALSE)
+                for group in atom_groups[aid]:
+                    for other in group:
+                        value = assignment[other]
+                        if value == _UNDEC:
+                            self.stats.propagations += 1
+                            self._set(other, _FALSE)
+                        elif value == _TRUE and other != aid:
+                            return False
                 for gi in self.atom_nogoods[aid]:
                     if not self._nogood(gi):
                         return False
@@ -276,8 +291,9 @@ class _Engine:
         return self._propagate(head)
 
     def _initial_propagate(self) -> bool:
-        # Binary nogoods need no pass here: `_propagate(0)` walks the
-        # `conflicts` list of every atom the choices made true.
+        # Binary nogoods and groups need no pass here: `_propagate(0)` walks
+        # the `conflicts` list and the groups of every atom the choices made
+        # true.
         return (
             all(self._choice(ci) for ci in range(len(self.choice_members)))
             and all(self._nogood(gi) for gi in range(len(self.nogood_members)))

@@ -273,10 +273,23 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 
 
+# The deepest term the parser accepts.  Every walker over terms (safety
+# validation, grounding, printing) recurses once per level, so a bound here
+# keeps each of them far from Python's recursion limit.
+MAX_TERM_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._pos = 0
+        # A term's depth counts each operator, parenthesis pair and |...|
+        # on its deepest path, plus one for the constant or variable there.
+        # `_height` is the depth of the term last parsed; `_open` counts the
+        # parentheses and bars open around the current token, so nesting is
+        # refused before it recurses, not after.
+        self._height = 0
+        self._open = 0
 
     # -- token plumbing
 
@@ -297,6 +310,21 @@ class _Parser:
 
     def _fail(self, tok: _Token, message: str) -> None:
         raise AspSyntaxError(tok.line, tok.column, message)
+
+    def _deeper(self, height: int, tok: _Token) -> int:
+        """`height` if it is within the bound, else a syntax error at `tok`."""
+        if height > MAX_TERM_DEPTH:
+            self._fail(tok, f"term nested more than {MAX_TERM_DEPTH} levels deep")
+        return height
+
+    def _enter(self, tok: _Token) -> None:
+        """Open a parenthesis or bar at `tok`."""
+        self._open = self._deeper(self._open + 1, tok)
+
+    def _leave(self, tok: _Token) -> None:
+        """Close the innermost parenthesis or bar around the term just parsed."""
+        self._open -= 1
+        self._height = self._deeper(self._height + 1, tok)
 
     def _reject_keyword(self, tok: _Token) -> None:
         if tok.kind == "IDENT" and tok.text == "not":
@@ -460,41 +488,52 @@ class _Parser:
     def _comparand(self) -> Term:
         """Term in comparison-operand position; the only place tuples may appear."""
         if self._peek().kind == "LPAREN":
-            open_tok = self._next()
+            self._enter(self._next())
             first = self._additive()
             if self._peek().kind == "COMMA":
-                elements = [first]
+                elements, height = [first], self._height
                 while self._peek().kind == "COMMA":
                     self._next()
                     elements.append(self._additive())
-                self._expect("RPAREN", "')'")
+                    height = max(height, self._height)
+                self._height = height
+                self._leave(self._expect("RPAREN", "')'"))
                 tok = self._peek()
                 if tok.kind in ("PLUS", "MINUS", "STAR", "SLASH", "BSLASH"):
                     self._fail(tok, "tuples cannot take part in arithmetic")
                 return TupleTerm(tuple(elements))
-            self._expect("RPAREN", "')'")
-            del open_tok
+            self._leave(self._expect("RPAREN", "')'"))
             # A parenthesized arithmetic group may continue: (Ir1-1)/3.
             return self._additive(seed=self._multiplicative(seed=first))
         return self._additive()
 
     def _additive(self, seed: Term | None = None) -> Term:
+        """A sum; a `seed` is its first operand, whose depth is `_height`."""
         term = seed if seed is not None else self._multiplicative()
+        height = self._height
         while self._peek().kind in ("PLUS", "MINUS"):
-            op = self._next().text
-            term = Arith(op, term, self._multiplicative())
+            tok = self._next()
+            term = Arith(tok.text, term, self._multiplicative())
+            height = self._deeper(max(height, self._height) + 1, tok)
+        self._height = height
         return term
 
     def _multiplicative(self, seed: Term | None = None) -> Term:
+        """A product; a `seed` is its first operand, whose depth is `_height`."""
         term = seed if seed is not None else self._primary()
+        height = self._height
         while self._peek().kind in ("STAR", "SLASH", "BSLASH"):
-            op = self._next().text
-            term = Arith(op, term, self._primary())
+            tok = self._next()
+            term = Arith(tok.text, term, self._primary())
+            height = self._deeper(max(height, self._height) + 1, tok)
+        self._height = height
         return term
 
     def _primary(self) -> Term:
         tok = self._peek()
         self._reject_keyword(tok)
+        if tok.kind in ("INT", "MINUS", "STRING", "VAR"):
+            self._height = 1
         if tok.kind == "INT":
             self._next()
             return IntConst(int(tok.text))
@@ -509,16 +548,16 @@ class _Parser:
             self._next()
             return Variable(tok.text)
         if tok.kind == "PIPE":
-            self._next()
+            self._enter(self._next())
             inner = self._additive()
-            self._expect("PIPE", "closing '|'")
+            self._leave(self._expect("PIPE", "closing '|'"))
             return Abs(inner)
         if tok.kind == "LPAREN":
-            self._next()
+            self._enter(self._next())
             inner = self._additive()
             if self._peek().kind == "COMMA":
                 self._fail(self._peek(), "tuple terms are only allowed as comparison operands")
-            self._expect("RPAREN", "')'")
+            self._leave(self._expect("RPAREN", "')'"))
             return inner
         if tok.kind == "IDENT":
             self._fail(tok, f"unquoted constant or nested atom {tok.text!r} is not a term")
@@ -531,7 +570,8 @@ def parse_program(text: str) -> Program:
 
     Raises :class:`AspSyntaxError` with line/column on any construct the
     fragment excludes (``not``, ``:~``, intervals, atom pools outside facts,
-    and so on).  An empty string yields a program with zero rules.
+    and so on), and on a term nested more than :data:`MAX_TERM_DEPTH` levels
+    deep.  An empty string yields a program with zero rules.
     """
     return _Parser(_tokenize(text)).parse()
 

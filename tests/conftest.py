@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,15 @@ def furniture_backend(scripts) -> ScriptedBackend:
 
 def scripted(responses) -> ScriptedBackend:
     return ScriptedBackend(list(responses))
+
+
+def assert_deadline_holds(call, timeout: type[Exception]) -> None:
+    """Call `call(deadline)` with a deadline 0.5 s away, on the real clock: it
+    must either return before the deadline or raise `timeout` within 2 s."""
+    start = time.monotonic()
+    try:
+        call(start + 0.5)
+    except timeout:
+        assert time.monotonic() - start < 2.0
+    else:
+        assert time.monotonic() - start < 0.5

@@ -552,13 +552,15 @@ def _renamed(term, names):
     return term
 
 
-def _self_join_domain(rng):
+def _self_join_domain(rng, kinds=None):
     """Column kinds and the rules of a chosen predicate ``c`` over them.
 
-    One domain fact per column, of 1-3 values, and one choice rule that
-    picks ``c`` rows: either k of all of them, or k per first-column value.
+    The kinds are drawn unless given.  One domain fact per column, of 1-3
+    values, and one choice rule that picks ``c`` rows: either k of all of
+    them, or k per first-column value.
     """
-    kinds = [rng.choice(("int", "int", "str")) for _ in range(rng.randint(1, 3))]
+    if kinds is None:
+        kinds = [rng.choice(("int", "int", "str")) for _ in range(rng.randint(1, 3))]
     rules = []
     for i, kind in enumerate(kinds):
         pool = [1, 2, 3, 4] if kind == "int" else ["a", "b", "c"]
@@ -729,4 +731,67 @@ def clique_program(rng):
         atoms = (Atom("c", tuple(first)), Atom("c", tuple(second)))
         k = None if miss == "k" else 0
         rules.append(TestRule(tuple(heads), k, atoms + tuple(comps)))
+    return Program(tuple(rules))
+
+
+# ---------------------------------------------------------------------------
+# Seeded self-joins through commutative terms, and near misses
+# ---------------------------------------------------------------------------
+
+
+def commutative_program(rng):
+    """A small program whose test rules join one chosen integer predicate with
+    itself through terms that the swap maps onto themselves only up to the
+    order of their operands.
+
+    Each test rule has k=0 or k=None and the body ``c(A1,B1,..), c(A2,B2,..)``
+    followed by comparisons; a position may hold one shared variable in both
+    atoms.  A comparison side is ``|X1-X2|``, ``X1+X2`` or ``X1*X2`` over one
+    column, with either operand first, or the sum of two such sides, as in
+    the knight rule ``|Ir1-Ir2|+|Ic1-Ic2|=3``; the other side is a constant
+    or another such side.  A head is such a comparison or a mirror equality
+    ``X1=X2``.  About one rule in four also holds a near miss: ``X1-X2``, or
+    ``|X1-Y2|`` or ``X1+Y2`` across two columns.  A body may carry the guard
+    ``(A1,B1,..)!=(A2,B2,..)``.  Comparisons are written with either side
+    first, and every rule is well typed.
+    """
+    kinds, rules = _self_join_domain(rng, ["int"] * rng.randint(1, 3))
+    positions = range(len(kinds))
+    for _ in range(rng.randint(1, 3)):
+        first, second, _ = _self_join_atoms(rng, kinds, 0.3)
+
+        def side():
+            i = rng.choice(positions)
+            a, b = rng.sample([first[i], second[i]], 2)
+            op = rng.choice(["|-|", "+", "*"])
+            return Abs(Arith("-", a, b)) if op == "|-|" else Arith(op, a, b)
+
+        def comparison():
+            lhs = side() if rng.random() < 0.7 else Arith("+", side(), side())
+            rhs = IntConst(rng.randint(0, 6)) if rng.random() < 0.6 else side()
+            return _written(rng, lhs, rng.choice(INT_OPS), rhs)
+
+        def head():
+            if rng.random() < 0.4:
+                i = rng.choice(positions)
+                return _written(rng, first[i], "=", second[i])
+            return comparison()
+
+        comps = [comparison() for _ in range(rng.randint(0, 2))]
+        heads = [head() for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.25:
+            i, j = rng.choice(positions), rng.choice(positions)
+            if i == j:
+                miss = Arith("-", first[i], second[i])
+            else:
+                across = Arith("-", first[i], second[j])
+                miss = rng.choice([Abs(across), Arith("+", first[i], second[j])])
+            rng.choice([comps, heads]).append(
+                _written(rng, miss, rng.choice(INT_OPS), IntConst(rng.randint(0, 6)))
+            )
+        if rng.random() < 0.6:
+            comps.append(_written(rng, TupleTerm(tuple(first)), "!=", TupleTerm(tuple(second))))
+        rng.shuffle(comps)
+        atoms = (Atom("c", tuple(first)), Atom("c", tuple(second)))
+        rules.append(TestRule(tuple(heads), rng.choice([0, None]), atoms + tuple(comps)))
     return Program(tuple(rules))

@@ -343,6 +343,20 @@ def test_syntax_error_in_constraint_stage(mini_cases, scripts):
     assert result.outcome.label() == "SyntaxError(constraint_rules)"
 
 
+@pytest.mark.parametrize(
+    "term", ["(" * 400 + "1" + ")" * 400, "+".join(["1"] * 2000)], ids=["nested", "sum"]
+)
+def test_too_deep_a_term_is_a_syntax_error(mini_cases, scripts, term):
+    # The parser refuses the term, so no later walker raises RecursionError
+    # out of evaluate_case.
+    responses = list(scripts["weight_loss"])
+    responses[4] += f"\n\nPl={term} :- match(N, Pl, D)."
+    result = evaluate_case(mini_cases["weight_loss"], ScriptedBackend(responses))
+    assert result.outcome.kind == OutcomeKind.SYNTAX_ERROR
+    assert result.outcome.stage is Stage.CONSTRAINT_RULES
+    assert "levels deep" in result.detail
+
+
 def test_semantic_error_attributed_to_constraint_stage(mini_cases, scripts):
     # Type-confused arithmetic only explodes while grounding; the rule index
     # places the blame on the stage that produced the offending rule.

@@ -71,6 +71,17 @@ def test_solve_syntax_error_is_a_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "term", ["(" * 400 + "1" + ")" * 400, "+".join(["1"] * 2000)], ids=["nested", "sum"]
+)
+def test_solve_too_deep_a_term_is_a_runtime_error(tmp_path, capsys, term):
+    path = tmp_path / "deep.lp"
+    path.write_text(f"d(1).\n{{c(X): d(X)}}=1.\nX={term} :- c(X).\n")
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "levels deep" in err
+
+
 def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1

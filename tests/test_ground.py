@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, assert_deadline_holds
 from oracles import (
     clique_program,
+    commutative_program,
     decoded,
     ill_typed_program,
     oracle_ground,
@@ -29,6 +30,7 @@ from puzzle2asp.ground import (
     GAtom,
     GroundingError,
     GroundTimeout,
+    Nogood,
     evaluate_comparison,
     evaluate_term,
     ground_program,
@@ -299,6 +301,63 @@ def test_deadline_holds_in_fact_expansion():
     assert time.monotonic() - start < 2.0
 
 
+def test_deadline_holds_in_a_choice_join():
+    # 3,600 choices of 60 candidates each
+    pool = ";".join(map(str, range(60)))
+    program = parse_program(f"d({pool}).\n{{c(X,Y,Z): d(Z)}}=1 :- d(X), d(Y).\n")
+    assert_deadline_holds(lambda deadline: ground_program(program, deadline=deadline), GroundTimeout)
+
+
+def _nogood_set(values: int) -> str:
+    """A program whose test rule's join key holds the violation, so nearly
+    all of its time goes to finding, converting and ordering nogoods."""
+    return (
+        "d(" + ";".join(map(str, range(values))) + ").\n{c(X,Y): d(Y)}=1 :- d(X).\n"
+        "X1+Y1!=X2+Y2+1 :- c(X1,Y1), c(X2,Y2).\n"
+    )
+
+
+def test_deadline_holds_while_a_large_nogood_set_is_ordered():
+    # 143,960 nogoods: converting and ordering them takes about twice as
+    # long as finding them.
+    program = parse_program(_nogood_set(60))
+    assert_deadline_holds(lambda deadline: ground_program(program, deadline=deadline), GroundTimeout)
+
+
+def test_deadline_holds_while_nogoods_are_made(monkeypatch):
+    # 660 nogoods.  The clock passes the deadline as the first Nogood is
+    # made, after the sort, so only a check between batches can raise.
+    made = []
+
+    def counted_nogood(atoms):
+        made.append(atoms)
+        return Nogood(atoms)
+
+    monkeypatch.setattr(ground, "Nogood", counted_nogood)
+    monkeypatch.setattr(ground.time, "monotonic", lambda: 10.0 if made else 0.0)
+    with pytest.raises(GroundTimeout):
+        ground_program(parse_program(_nogood_set(10)), deadline=1.0)
+    assert len(made) == 256
+
+
+def test_deadline_holds_once_nogoods_are_ordered(monkeypatch):
+    # The clock passes the deadline once every test rule is joined and the
+    # nogoods are being ordered, so only a check there can raise.
+    ordering = []
+    in_order = ground._in_order
+
+    def counted(*args):
+        ordering.append(None)
+        return in_order(*args)
+
+    monkeypatch.setattr(ground, "_in_order", counted)
+    monkeypatch.setattr(ground.time, "monotonic", lambda: 10.0 if ordering else 0.0)
+    text = "d(1;2;3).\n{c(X): d(X)}=2.\nX1+1!=X2 :- c(X1), c(X2).\n"
+    with pytest.raises(GroundTimeout):
+        ground_program(parse_program(text), deadline=1.0)
+    assert ordering
+
+
 # ---------------------------------------------------------------------------
 # Pinned output: SHA-256 of the dump of every corpus program
 # ---------------------------------------------------------------------------
@@ -411,6 +470,14 @@ SYMMETRIC_RULES = {
     "mirrored-order-k-none": "A1>=B2; B1<=A2 :- p(A1,B1), p(A2,B2).",
     "reversed-not-equal": "{A1=A2}=0 :- p(A1,B1), p(A2,B2), (B2,A2)!=(B1,A1), B1!=B2.",
     "shared-position": "{N1=N2}=0 :- assign(Ir1,Ic,N1), assign(Ir2,Ic,N2), (Ir1,N1)!=(Ir2,N2).",
+    # the swap writes |Ir2-Ir1| for |Ir1-Ir2|, and each + and * with its
+    # operands the other way round
+    "knight": (
+        "{N1=N2}=0 :- assign(Ir1,Ic1,N1), assign(Ir2,Ic2,N2), |Ir1-Ir2|+|Ic1-Ic2|=3, "
+        "(Ir1,Ic1,N1)!=(Ir2,Ic2,N2)."
+    ),
+    "queens-diagonal": "{|Ir1-Ir2|=|Ic1-Ic2|}=0 :- assign(Ir1,Ic1), assign(Ir2,Ic2), Ir1!=Ir2.",
+    "sum-and-product": "X1+X2<Y1*Y2 :- c(X1,Y1), c(X2,Y2), X2*X1!=4.",
 }
 
 ASYMMETRIC_RULES = {
@@ -425,6 +492,8 @@ ASYMMETRIC_RULES = {
     "head-image-differs": "{A1<A2; B1=B2}=0 :- p(A1,B1), p(A2,B2).",
     "head-image-differs-k-none": "A1=B2 :- p(A1,B1), p(A2,B2).",
     "counted-k": "{A1=A2; B1=B2}=1 :- p(A1,B1), p(A2,B2), (A1,B1)!=(A2,B2).",
+    "difference": "{X1-X2=1}=0 :- c(X1,Y1), c(X2,Y2).",
+    "absolute-difference-across-columns": "{|X1-X2|=|X1-Y2|}=0 :- c(X1,Y1), c(X2,Y2).",
 }
 
 
@@ -620,6 +689,28 @@ def test_symmetric_programs_match_oracle_and_are_pinned():
         digest.update(f"{seed}\n{g.dump()}".encode())
     assert digest.hexdigest() == SYMMETRIC_SHA256
     assert 2000 < detected < 5000  # of 6,020 test rules: both paths are exercised
+
+
+# SHA-256 over, for each seed, the dump of the grounded commutative_program;
+# computed before `_symmetric` compared sides in canonical form.  Then it
+# accepted 154 of the 1,974 test rules.
+COMMUTATIVE_SEEDS = range(1000)
+COMMUTATIVE_SHA256 = "760bb56f70162abb58d3893a4d7bf00e9022b468a68b3eb78da52a45aad59014"
+
+
+def test_commutative_programs_match_oracle_and_are_pinned():
+    digest = hashlib.sha256()
+    rules = detected = 0
+    for seed in COMMUTATIVE_SEEDS:
+        program = commutative_program(random.Random(seed))
+        tests = [rule for rule in program.rules if isinstance(rule, TestRule)]
+        rules += len(tests)
+        detected += sum(map(ground._symmetric, tests))
+        g = ground_program(program)
+        assert decoded(g) == oracle_ground(program), seed
+        digest.update(f"{seed}\n{g.dump()}".encode())
+    assert digest.hexdigest() == COMMUTATIVE_SHA256
+    assert 0.6 * rules < detected < 0.9 * rules  # both paths are exercised
 
 
 # ---------------------------------------------------------------------------

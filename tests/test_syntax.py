@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from puzzle2asp.ground import GAtom, ground_program
+from puzzle2asp.solve import enumerate_models
 from puzzle2asp.syntax import (
+    MAX_TERM_DEPTH,
     Abs,
     Arith,
     AspSyntaxError,
@@ -150,6 +153,45 @@ def test_error_carries_position():
         parse_program("p(1).\nq(2).\nr(1..3).\n")
     assert info.value.line == 3
     assert info.value.column == 4
+
+
+# Each shape with its depth in levels: parentheses, bars and a left-deep sum.
+DEEP_TERMS = {
+    "parentheses": lambda depth: "(" * (depth - 1) + "100" + ")" * (depth - 1),
+    "bars": lambda depth: "|" * (depth - 1) + "100" + "|" * (depth - 1),
+    "sum": lambda depth: "+".join(["1"] * depth),
+}
+
+
+def _deep_rule(term: str) -> str:
+    return "d(1;100).\n{c(X): d(X)}=1.\nX=" + term + " :- c(X).\n"
+
+
+@pytest.mark.parametrize("shape", DEEP_TERMS)
+@pytest.mark.parametrize("depth", [MAX_TERM_DEPTH + 1, 400, 2000])
+def test_too_deep_a_term_is_rejected(shape, depth):
+    # Refused at the token that passes the bound, so no walker over terms
+    # (validation, grounding, printing) can reach Python's recursion limit.
+    term = DEEP_TERMS[shape](depth)
+    with pytest.raises(AspSyntaxError) as info:
+        parse_program(_deep_rule(term))
+    assert info.value.message == f"term nested more than {MAX_TERM_DEPTH} levels deep"
+    assert info.value.line == 3
+    if shape == "sum":
+        assert info.value.column == len("X=") + 2 * MAX_TERM_DEPTH  # the 100th "+"
+    elif depth == MAX_TERM_DEPTH + 1:
+        assert info.value.column == len("X=" + term)  # the outermost closing token
+    else:
+        assert info.value.column == len("X=") + MAX_TERM_DEPTH + 1  # the 101st opening token
+
+
+@pytest.mark.parametrize("shape", DEEP_TERMS)
+def test_a_term_at_the_depth_bound_grounds(shape):
+    program = parse_program(_deep_rule(DEEP_TERMS[shape](MAX_TERM_DEPTH)))
+    assert validate_safety(program) == []
+    assert parse_program(render_program(program)) == program
+    (model,) = enumerate_models(ground_program(program), limit=None).models
+    assert GAtom("c", (100,)) in model.atoms
 
 
 # ---------------------------------------------------------------------------
