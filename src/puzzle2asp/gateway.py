@@ -17,6 +17,7 @@ import time
 from collections import deque
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Protocol
 
@@ -30,9 +31,18 @@ class CompletionRequest:
     max_tokens: int = 2048
     stop: tuple[str, ...] | None = None
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """The request's hash, computed on first use and kept on the request."""
+        return _request_hash(self)
+
 
 def fingerprint(request: CompletionRequest) -> str:
     """Stable hash of the request; trailing whitespace per prompt line is ignored."""
+    return request.fingerprint
+
+
+def _request_hash(request: CompletionRequest) -> str:
     normalized = "\n".join(line.rstrip() for line in request.prompt.split("\n"))
     payload = json.dumps(
         {
@@ -208,7 +218,7 @@ class Cassette:
         return entry.response_text if entry else None
 
     def record(self, request: CompletionRequest, response_text: str) -> None:
-        fp = fingerprint(request)
+        fp = request.fingerprint
         with self._lock:
             if fp in self._index:
                 return
@@ -265,7 +275,7 @@ class ReplayBackend:
         return cls(Cassette.load(path))
 
     def complete(self, request: CompletionRequest) -> str:
-        fp = fingerprint(request)
+        fp = request.fingerprint
         response = self.cassette.lookup(fp)
         if response is None:
             raise ReplayMiss(fp)
@@ -277,20 +287,44 @@ class RecordingBackend:
 
     A cassette with a path is saved after every new entry, which appends
     that one line to its file, so an interrupted run keeps what it paid for.
+
+    Threads that miss on the same request at once make one call between
+    them: the first asks `inner`, the others wait until its entry is
+    recorded and saved and then return that entry, so every caller gets the
+    response the cassette keeps.  If the call fails, its error goes to the
+    first thread only, and the next waiter makes the call itself.
     """
 
     def __init__(self, inner: Backend, cassette: Cassette):
         self.inner = inner
         self.cassette = cassette
+        self._lock = threading.Lock()
+        self._calls: dict[str, threading.Event] = {}  # fingerprint -> set once it is done
 
     def complete(self, request: CompletionRequest) -> str:
-        cached = self.cassette.lookup(fingerprint(request))
-        if cached is not None:
-            return cached
-        response = self.inner.complete(request)
-        self.cassette.record(request, response)
-        if self.cassette.path is not None:
-            self.cassette.save()
+        fp = request.fingerprint
+        while True:
+            # The lookup and the claim are one step under the lock, and a
+            # call is unclaimed only after its entry is recorded, so a
+            # thread either finds the entry or finds the call in flight.
+            with self._lock:
+                cached = self.cassette.lookup(fp)
+                if cached is not None:
+                    return cached
+                done = self._calls.get(fp)
+                if done is None:
+                    done = self._calls[fp] = threading.Event()
+                    break
+            done.wait()
+        try:
+            response = self.inner.complete(request)
+            self.cassette.record(request, response)
+            if self.cassette.path is not None:
+                self.cassette.save()
+        finally:
+            with self._lock:
+                del self._calls[fp]
+            done.set()
         return response
 
 

@@ -18,10 +18,14 @@ a join plan: the atoms in written order, each comparison right after the atom
 that binds its last variable.  An atom step looks its rows up in an index
 keyed on every argument position bound before it.  The step is bound to its
 index when the plan is compiled: the index is cached on the predicate's
-extension, so every step with the same signature (key positions, repeated
-variables, pushed key sides and the variables it binds) shares it, across
-violation plans and across rules.  When a rule is statically error-free, its
-plan also does less work per instance:
+extension, so every step with the same signature shares it, across violation
+plans and across rules.  A signature is the key positions and the repeated-
+variable positions, where a pushed key side that is a plain variable (such as
+``W1`` in ``W1="port"``) counts as the position that binds it; so
+``W1="port"`` and ``X="port"`` on the same position share one index.  A step
+with any other pushed key side also keys its index on those sides and on the
+variables it binds.  When a rule is statically error-free, its plan also
+does less work per instance:
 
 * an ``=`` comparison with one side computed only from the variables the atom
   binds and the other from earlier bindings, such as
@@ -413,18 +417,22 @@ def _checked_tuple(terms, rule_index: int, place: str) -> Callable[[Binding], tu
 class _Extension:
     """Ground tuples of one predicate; `atoms` maps a chosen row to its id.
 
-    `indexes` caches the index of each atom-step signature over these rows.
+    `indexes` caches the index of each atom-step signature over these rows,
+    and `_types` the answer of `column_type` for each position.
     """
 
     def __init__(self, rows: list[tuple[GroundValue, ...]], atoms: dict | None = None):
         self.rows = rows
         self.atoms = atoms
         self.indexes: dict[tuple, dict[tuple, list[tuple[GroundValue, ...]]]] = {}
+        self._types: dict[int, type | None] = {}
 
     def column_type(self, position: int) -> type | None:
         """int or str if every row holds that type at `position`, else None."""
-        kinds = {type(row[position]) for row in self.rows}
-        return kinds.pop() if len(kinds) == 1 else None
+        if position not in self._types:
+            kinds = {type(row[position]) for row in self.rows}
+            self._types[position] = kinds.pop() if len(kinds) == 1 else None
+        return self._types[position]
 
 
 def _term_type(term: Term, types: dict[str, type | None]):
@@ -610,8 +618,7 @@ class _AtomStep:
     then one value per pushed ``=`` comparison.  `probe` holds the terms that
     compute the key from the current binding; `row_sides` compute the pushed
     key parts from a row when the index is built.  `compile` binds the step to
-    the extension's index for its signature: its key positions, repeated-
-    variable positions, row sides and binders.  The first step compiled with a
+    the extension's index for its `signature`.  The first step compiled with a
     signature builds that index, and every later one shares it.  A bucket
     lists its rows in table order, which for a chosen predicate is id order.
 
@@ -668,14 +675,24 @@ class _AtomStep:
             index.setdefault(values, []).append(row)
         return index
 
-    def compile(self, rule_index: int, error_free: bool, then, chosen: list, check_deadline):
-        """A closure that binds each matching row in turn and calls `then`."""
-        signature = (
+    def signature(self) -> tuple:
+        """What the step's index depends on: two steps with equal signatures
+        build equal indexes."""
+        if all(isinstance(side, Variable) for side in self.row_sides):
+            # A plain variable side keys on the row value at its binding
+            # position, as if that position were bound before the step.
+            sides = tuple(self.binders[side.name] for side in self.row_sides)
+            return tuple(self.positions) + sides, tuple(self.repeats)
+        return (
             tuple(self.positions),
             tuple(self.repeats),
             tuple(self.row_sides),
             tuple(self.binders.items()),
         )
+
+    def compile(self, rule_index: int, error_free: bool, then, chosen: list, check_deadline):
+        """A closure that binds each matching row in turn and calls `then`."""
+        signature = self.signature()
         indexes = self.extension.indexes
         if signature not in indexes:
             indexes[signature] = self._build_index()

@@ -23,7 +23,7 @@ from enum import Enum
 from importlib import resources
 from typing import Sequence
 
-from .gateway import BACKEND_ERRORS, Backend, CompletionRequest, fingerprint
+from .gateway import BACKEND_ERRORS, Backend, CompletionRequest
 from .ground import GroundValue, render_value
 from .syntax import AspSyntaxError, Program, parse_program, render_program
 
@@ -557,7 +557,7 @@ def run_pipeline(
         record = StageRecord(
             stage=stage,
             prompt=prompt,
-            fingerprint=fingerprint(request),
+            fingerprint=request.fingerprint,
             raw_response=None,
             parse_error=None,
             attempts=0,

@@ -16,9 +16,10 @@ immutable values and safe to use concurrently.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -174,8 +175,7 @@ class Diagnostic:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -207,64 +207,60 @@ _SYMBOLS = (
     ("\\", "BSLASH"),
     ("|", "PIPE"),
 )
+_SYMBOL_KINDS = dict(_SYMBOLS)
+
+# One token per match: the blanks before it, then one alternative per lexeme,
+# whose group number `_tokenize` dispatches on.  On str patterns `\d` is
+# exactly `str.isdecimal` (what int() accepts) and `\w` exactly
+# `str.isalnum` or "_".  A word must start with a letter, and `[^\W\d_]` also
+# admits digits that are not decimal, such as "²" and "½", so `_tokenize`
+# checks `isalpha` on a word's first character.  Any other character that
+# is not a blank, such as an unterminated string's quote, falls to the last
+# group; blanks at the end of the text match nothing.
+_LEXEME = re.compile(
+    r"[ \t\r]*(?:"
+    r"(\n)"  # 1
+    r"|(%[^\n]*)"  # 2
+    r'|"([^"\n]*)"'  # 3
+    r"|(\d+)"  # 4
+    r"|([^\W\d_]\w*)"  # 5
+    r"|(" + "|".join(re.escape(sym) for sym, _ in _SYMBOLS) + ")"  # 6
+    r"|([^ \t\r])"  # 7
+    r")"
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in ('"', "\n"):
-                j += 1
-            if j >= n or text[j] == "\n":
-                raise AspSyntaxError(line, col, "unterminated string constant")
-            tokens.append(_Token("STRING", text[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdecimal():  # what int() accepts; "²".isdigit() holds too
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "VAR" if word[0].isupper() else "IDENT"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym, kind in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token(kind, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
+    append = tokens.append
+    line, line_start = 1, 0
+    comment = None  # where the comment that the text may end in starts
+    for match in _LEXEME.finditer(text):
+        group = match.lastindex
+        start = match.start(group)
+        if group == 1:
+            line, line_start, comment = line + 1, start + 1, None
+        elif group == 2:
+            comment = start
+        elif group == 5 and text[start].isalpha():
+            word = match[5]
+            append(_Token("VAR" if word[0].isupper() else "IDENT", word, line, start - line_start + 1))
+        elif group == 6:
+            symbol = match[6]
+            append(_Token(_SYMBOL_KINDS[symbol], symbol, line, start - line_start + 1))
+        elif group == 4:
+            append(_Token("INT", match[4], line, start - line_start + 1))
+        elif group == 3:  # the group starts after the opening quote
+            append(_Token("STRING", match[3], line, start - line_start))
         else:
-            raise AspSyntaxError(line, col, f"unexpected character {ch!r}")
-    tokens.append(_Token("EOF", "", line, col))
+            column = start - line_start + 1
+            if text[start] == '"':
+                raise AspSyntaxError(line, column, "unterminated string constant")
+            raise AspSyntaxError(line, column, f"unexpected character {text[start]!r}")
+    # A comment does not move the column, so a text that ends in one puts
+    # EOF where the comment starts.
+    end = len(text) if comment is None else comment
+    append(_Token("EOF", "", line, end - line_start + 1))
     return tokens
 
 
@@ -293,8 +289,8 @@ class _Parser:
 
     # -- token plumbing
 
-    def _peek(self, offset: int = 0) -> _Token:
-        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
+    def _peek(self) -> _Token:
+        return self._tokens[self._pos]  # `_next` never moves past EOF
 
     def _next(self) -> _Token:
         tok = self._tokens[self._pos]

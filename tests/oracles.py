@@ -1,9 +1,10 @@
 """Brute-force reference implementations shared by the test modules.
 
-Both functions trade all cleverness for trustworthiness: grounding by
-exhaustive substitution, solving by generate-and-test.  They are feasible
-only for tiny programs and exist purely to cross-check the real grounder
-and solver.
+They trade all cleverness for trustworthiness: tokenizing by walking the
+text one character at a time, grounding by exhaustive substitution, solving
+by generate-and-test.  The grounding and solving oracles are feasible only
+for tiny programs; all of them exist purely to cross-check the real
+tokenizer, grounder and solver.
 """
 from __future__ import annotations
 
@@ -18,8 +19,10 @@ from puzzle2asp.ground import (
     evaluate_term,
 )
 from puzzle2asp.syntax import (
+    _SYMBOLS,
     Abs,
     Arith,
+    AspSyntaxError,
     Atom,
     ChoiceRule,
     Comparison,
@@ -32,6 +35,66 @@ from puzzle2asp.syntax import (
     Variable,
     chosen_predicates,
 )
+
+
+def oracle_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokens of `text` as (kind, text, line, column), or AspSyntaxError."""
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and text[j] not in ('"', "\n"):
+                j += 1
+            if j >= n or text[j] == "\n":
+                raise AspSyntaxError(line, col, "unterminated string constant")
+            tokens.append(("STRING", text[i + 1 : j], line, col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch.isdecimal():  # what int() accepts; "²".isdigit() holds too
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = "VAR" if word[0].isupper() else "IDENT"
+            tokens.append((kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        for sym, kind in _SYMBOLS:
+            if text.startswith(sym, i):
+                tokens.append((kind, sym, line, col))
+                col += len(sym)
+                i += len(sym)
+                break
+        else:
+            raise AspSyntaxError(line, col, f"unexpected character {ch!r}")
+    tokens.append(("EOF", "", line, col))
+    return tokens
 
 
 def _const_value(term):

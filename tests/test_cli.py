@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, exit codes, files written."""
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -272,6 +273,29 @@ def test_bench_prints_table_and_writes_artifacts(data_dir, tmp_path, capsys):
     assert names == ["against_grain.json", "foodie_club.json", "weight_loss.json"]
     trace = json.loads((trace_dir / "foodie_club.json").read_text())
     assert trace["outcome_label"] == "Correct"
+
+
+# One hash over the report, the per-case traces and stdout of the scripted
+# mini bench: any change to the prompts, the fingerprints, parsing, grounding,
+# solving or the report's format moves it.
+MINI_BENCH_SHA256 = "4cf7a247570292f90c27305fc962063916e11167728aa5e94f46108ad778dce7"
+
+
+def test_bench_output_is_pinned(data_dir, tmp_path, capsys):
+    out_path, trace_dir = tmp_path / "report.json", tmp_path / "traces"
+    code = main(
+        [
+            "bench", str(data_dir / "mini.jsonl"),
+            "--backend", "scripted", "--script", str(data_dir / "mini_script.json"),
+            "--out", str(out_path), "--trace-dir", str(trace_dir),
+        ]
+    )
+    assert code == 0
+    digest = hashlib.sha256(out_path.read_bytes())
+    for path in sorted(trace_dir.iterdir()):
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == MINI_BENCH_SHA256
 
 
 def test_bench_split_filter(data_dir, tmp_path, capsys):

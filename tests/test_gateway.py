@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 import puzzle2asp
 from puzzle2asp import gateway
+from puzzle2asp.bench import OutcomeKind, evaluate_case, load_dataset
+from puzzle2asp.cli import main
 from puzzle2asp.gateway import (
     Cassette,
     CompletionRequest,
@@ -32,6 +35,8 @@ from puzzle2asp.gateway import (
     build_backend,
     fingerprint,
 )
+
+from conftest import DATA_DIR
 
 REQ = CompletionRequest(prompt="Solve this puzzle.", model="gpt-4")
 
@@ -198,6 +203,89 @@ def test_recording_backend_saves_safely_from_many_threads(tmp_path):
     assert all(json.loads(line)["response_text"] == "answer" for line in lines)
 
 
+class HeldBackend:
+    """Answers "answer N" on its Nth call; the first call waits for `release`
+    and then fails if `fail_first`."""
+
+    def __init__(self, fail_first: bool):
+        self.fail_first = fail_first
+        self.calls = 0
+        self.started, self.release = threading.Event(), threading.Event()
+
+    def complete(self, request: CompletionRequest) -> str:
+        self.calls += 1
+        if self.calls == 1:
+            self.started.set()
+            self.release.wait(5)
+            if self.fail_first:
+                raise TransportError("first call failed")
+        return f"answer {self.calls}"
+
+
+def _race(backend: RecordingBackend, inner: HeldBackend) -> list:
+    """Two threads ask for REQ; the second asks while the first is in its call."""
+    results: list = [None, None]
+
+    def call(slot: int) -> None:
+        try:
+            results[slot] = backend.complete(REQ)
+        except TransportError as exc:
+            results[slot] = exc
+
+    threads = [threading.Thread(target=call, args=(slot,)) for slot in (0, 1)]
+    threads[0].start()
+    assert inner.started.wait(5)
+    threads[1].start()
+    time.sleep(0.05)  # lets the second thread reach its wait
+    inner.release.set()
+    for thread in threads:
+        thread.join(5)
+        assert not thread.is_alive()
+    return results
+
+
+def test_concurrent_misses_on_one_request_make_one_call(tmp_path):
+    inner = HeldBackend(fail_first=False)
+    backend = RecordingBackend(inner, Cassette(tmp_path / "run.cassette.json"))
+    assert _race(backend, inner) == ["answer 1", "answer 1"]
+    assert inner.calls == 1
+    assert [e.response_text for e in Cassette.load(backend.cassette.path).entries] == ["answer 1"]
+
+
+def test_a_waiter_makes_the_call_when_the_first_call_fails(tmp_path):
+    inner = HeldBackend(fail_first=True)
+    backend = RecordingBackend(inner, Cassette(tmp_path / "run.cassette.json"))
+    first, second = _race(backend, inner)
+    assert isinstance(first, TransportError) and second == "answer 2"
+    assert inner.calls == 2
+    assert backend.complete(REQ) == "answer 2"
+
+
+def _mini_cassette() -> Cassette:
+    """Every mini case's requests with their scripted responses."""
+    scripts = json.loads((DATA_DIR / "mini_script.json").read_text())
+    cassette = Cassette()
+    for case in load_dataset(DATA_DIR / "mini.jsonl"):
+        evaluate_case(case, RecordingBackend(ScriptedBackend(scripts[case.id]), cassette))
+    return cassette
+
+
+def test_replay_and_a_record_miss_hash_each_request_once(tmp_path, monkeypatch):
+    source = _mini_cassette()
+    case = load_dataset(DATA_DIR / "mini.jsonl")[0]
+    hashed: list[CompletionRequest] = []
+    request_hash = gateway._request_hash
+    monkeypatch.setattr(gateway, "_request_hash", lambda r: hashed.append(r) or request_hash(r))
+    recording = RecordingBackend(ReplayBackend(source), Cassette(tmp_path / "run.cassette.json"))
+    for backend in (ReplayBackend(source), recording):
+        hashed.clear()
+        result = evaluate_case(case, backend)
+        assert result.outcome.kind == OutcomeKind.CORRECT
+        # Each stage makes one request, and each request is hashed once.
+        assert len(hashed) == len({id(r) for r in hashed}) == len(result.trace.records)
+    assert len(recording.cassette.entries) == len(hashed)  # every request was a miss
+
+
 def _request(i: int) -> CompletionRequest:
     return CompletionRequest(f"prompt {i}", "gpt-4")
 
@@ -350,6 +438,62 @@ def live(monkeypatch, outcomes, **config_kwargs):
     sleeps: list[float] = []
     backend._sleep = sleeps.append
     return backend, session, sleeps
+
+
+class SamplingSession:
+    """A chat endpoint that gives each prompt its `answers` entry on the
+    first call and a new wrong answer on every later call, as a sampling
+    endpoint would.  Each call takes a few milliseconds, so threads overlap."""
+
+    def __init__(self, answers: dict[str, str]):
+        self.answers = answers
+        self.prompts: list[str] = []
+        self._lock = threading.Lock()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        prompt = json["messages"][0]["content"]
+        with self._lock:
+            self.prompts.append(prompt)
+            calls = len(self.prompts)
+            first = self.prompts.count(prompt) == 1
+        time.sleep(0.005)
+        answer = self.answers.get(prompt) if first else None
+        return chat_ok(answer or f"answer {calls}")
+
+
+def test_bench_records_each_request_once_with_workers(tmp_path, monkeypatch, capsys):
+    # Two copies of each mini case, side by side, so that workers miss on
+    # the same requests at the same time.
+    rows = [json.loads(line) for line in (DATA_DIR / "mini.jsonl").read_text().splitlines()]
+    dataset = tmp_path / "twice.jsonl"
+    dataset.write_text(
+        "".join(json.dumps({**row, "id": f"{row['id']}_{copy}"}) + "\n" for row in rows for copy in (1, 2))
+    )
+    answers = {entry.request["prompt"]: entry.response_text for entry in _mini_cassette().entries}
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+    monkeypatch.delenv("OPENAI_BASE_URL", raising=False)
+    reports = []
+    for workers in ("1", "4"):
+        session = SamplingSession(answers)
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        cassette, out = tmp_path / f"{workers}.cassette.json", tmp_path / f"{workers}.json"
+        args = ["--backend", "live", "--record", "--cassette", str(cassette), "--out", str(out)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often, so races show
+        try:
+            assert main(["bench", str(dataset), "--workers", workers, *args]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(session.prompts) == sorted(answers)  # one call per distinct request
+        kept = Cassette.load(cassette).entries
+        assert len(kept) == len(answers)
+        assert {e.request["prompt"]: e.response_text for e in kept} == answers
+        reports.append(out.read_bytes())
+    replayed = tmp_path / "replayed.json"
+    args = ["--backend", "replay", "--cassette", str(cassette), "--out", str(replayed)]
+    assert main(["bench", str(dataset), *args]) == 0
+    capsys.readouterr()
+    assert reports[0] == reports[1] == replayed.read_bytes()
 
 
 def test_chat_payload_shape(monkeypatch):

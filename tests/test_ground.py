@@ -741,6 +741,23 @@ def test_index_near_collisions_match_oracle(rules):
     assert_matches_oracle("d(1;2;3).\n{c(X,Y,Z): d(Y), d(Z)}=1 :- d(X).\n" + rules)
 
 
+def test_steps_that_differ_in_variable_names_share_an_index(monkeypatch):
+    builds = []
+    build = ground._AtomStep._build_index
+    monkeypatch.setattr(ground._AtomStep, "_build_index", lambda step: builds.append(1) or build(step))
+
+    def count(rules: str) -> int:
+        builds.clear()
+        text = 'd(1;2;3).\nw("port";"oak").\n{c(X,W): w(W)}=1 :- d(X).\n' + rules
+        assert_matches_oracle(text)
+        return len(builds)
+
+    port = 'Y=1 :- c(Y,W1), W1="port".\n'
+    # The second rule keys on position 1 too; the third keys on position 0.
+    assert count(port + 'Y=1 :- c(Y,X), X="port".\n') == count(port)
+    assert count(port + "W=\"oak\" :- c(Y,W), Y=2.\n") == count(port) + 1
+
+
 # ---------------------------------------------------------------------------
 # Output does not depend on the order of string hashing
 # ---------------------------------------------------------------------------

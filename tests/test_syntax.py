@@ -1,6 +1,10 @@
 """Parser, renderer, and static-validation tests for the ASP fragment."""
 from __future__ import annotations
 
+import random
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +35,8 @@ from puzzle2asp.syntax import (
 )
 
 from conftest import DATA_DIR
+from oracles import oracle_tokenize
+from puzzle2asp import syntax
 
 CORPUS = sorted(p.name for p in DATA_DIR.glob("*.lp"))
 
@@ -153,6 +159,56 @@ def test_error_carries_position():
         parse_program("p(1).\nq(2).\nr(1..3).\n")
     assert info.value.line == 3
     assert info.value.column == 4
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer against the character-by-character oracle
+# ---------------------------------------------------------------------------
+
+# Pieces that generated texts are made of.  Non-ASCII letters and digits
+# probe the Unicode classes: "٣" and "𝟘" are decimal, "²" and "½" only
+# numeric, "Ⅻ" is numeric and upper case, "ǅ" title case, and "\u0301" a
+# combining mark that continues no word.
+TOKEN_PIECES = [sym for sym, _ in syntax._SYMBOLS] + [
+    "p", "Xy", "abc", "é", "Émile", "ßx", "Ω", "ǅ", "x_1", "_", "_x", "A__",
+    "0", "42", "٣", "𝟘", "²", "½", "Ⅻ", "7é",
+    '"s"', '"a b.:-"', '""', '"é"',
+    " ", "  ", "\t", "\n", "\r\n", "\r", "% note", "%", "%%\n",
+]
+# Each of these mostly makes the text an error, so they come up less often.
+TOKEN_ERRORS = ['"open', '"', "#", "@", "!", "'", "~", "\x0b", "\u00a0", "\u0301"]
+
+
+def _token_text(rng: random.Random) -> str:
+    pieces = [rng.choice(TOKEN_PIECES) for _ in range(rng.randrange(12))]
+    if rng.random() < 0.3:
+        pieces.insert(rng.randrange(len(pieces) + 1), rng.choice(TOKEN_ERRORS))
+    return "".join(pieces)
+
+
+def _outcome(tokenize, text: str):
+    try:
+        return [tuple(token) for token in tokenize(text)]
+    except AspSyntaxError as exc:
+        return (exc.line, exc.column, exc.message)
+
+
+def test_tokenizer_matches_the_oracle():
+    rng = random.Random(20231)
+    texts = [_token_text(rng) for _ in range(3000)] + ["", "%", "a.%", "a. % x", "\r\n", " "]
+    for text in texts:
+        assert _outcome(syntax._tokenize, text) == _outcome(oracle_tokenize, text), repr(text)
+    # Both outcomes are common, or the comparison would prove little.
+    errors = sum(isinstance(_outcome(oracle_tokenize, text), tuple) for text in texts)
+    assert 0.2 * len(texts) < errors < 0.6 * len(texts)
+
+
+def test_regex_classes_are_the_str_predicates():
+    """`_tokenize` relies on these; see the comment on `syntax._LEXEME`."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\d", every) == list(filter(str.isdecimal, every))
+    assert re.findall(r"[^\W_]", every) == list(filter(str.isalnum, every))
+    assert set(filter(str.isalpha, every)) <= set(re.findall(r"[^\W\d_]", every))
 
 
 # Each shape with its depth in levels: parentheses, bars and a left-deep sum.
